@@ -73,7 +73,7 @@ class FaultPlan:
         self._rng = random.Random(seed)
 
     def _add(self, time, kind, target=None, value=None):
-        if time < 0:
+        if not time >= 0:
             raise ConfigurationError(
                 f"fault time must be >= 0, got {time!r}"
             )

@@ -63,16 +63,10 @@ class SchedulerProfiler:
         Any :class:`~repro.core.scheduler.PacketScheduler`.
     clock:
         Timer returning seconds (default :func:`time.perf_counter`).
-    sim:
-        Optional :class:`~repro.sim.engine.Simulator` whose event-engine
-        counters (elided events, event-pool hit rate, calendar resizes)
-        are appended to :meth:`format_report`.  Assignable after
-        construction — the pipeline driver builds the simulator later.
     """
 
-    def __init__(self, scheduler, clock=time.perf_counter, sim=None):
+    def __init__(self, scheduler, clock=time.perf_counter):
         self.scheduler = scheduler
-        self.sim = sim
         self.enqueue_samples = []
         self.dequeue_samples = []
         #: One ``(seconds, packets)`` pair per batch-API call
@@ -203,17 +197,6 @@ class SchedulerProfiler:
                 f"{batch['batch_packets']} packets "
                 f"({100 * batch['batched_fraction']:.1f}% of ops batched; "
                 f"sizes {hist})")
-        sim = self.sim
-        if sim is not None:
-            acquires = sim.pool_hits + sim.pool_misses
-            pool = (f", event pool {sim.pool_hits}/{acquires} hits "
-                    f"({100.0 * sim.pool_hit_rate:.1f}%)" if acquires
-                    else "")
-            lines.append(
-                f"engine: {sim.engine_active}, "
-                f"{sim.events_processed} events processed, "
-                f"{sim.events_elided} elided"
-                f"{pool}, {sim.calendar_resizes} calendar resize(s)")
         return "\n".join(lines)
 
     def __enter__(self):

@@ -12,9 +12,7 @@ Three equivalence claims are pinned here:
   are powers of two, with or without numpy, per-packet or batched.
 * **the sim layer batch path is invisible** — ``Link.send_batch`` and
   the batch burst drain yield the same services and counters as the
-  per-packet stepping path (forced via a non-passive sink), and
-  ``Simulator.advance_over`` enforces the same validation rules as
-  ``advance_to``.
+  per-packet stepping path (forced via a non-passive sink).
 """
 
 import random
@@ -34,7 +32,6 @@ from repro.core import (
 from repro.core.batch import HAVE_NUMPY, NUMPY_MIN_CHUNK
 from repro.core.packet import Packet
 from repro.core.scheduler import BATCH_KERNEL_MIN
-from repro.errors import SimulationError
 from repro.obs import CallbackSink, RingBufferSink
 from repro.sim.engine import Simulator
 from repro.sim.link import Link
@@ -513,15 +510,3 @@ def test_batch_drain_respects_run_horizon():
     assert link.packets_sent == 5
     sim.run()
     assert link.packets_sent == 10
-
-
-def test_advance_over_validates_like_advance_to():
-    sim = Simulator()
-    sim.schedule(5.0, lambda: None)
-    sim.advance_over(2.0, 3)
-    assert sim.now == 2.0
-    assert sim.events_elided == 3
-    with pytest.raises(SimulationError):
-        sim.advance_over(1.0, 1)  # into the past
-    with pytest.raises(SimulationError):
-        sim.advance_over(6.0, 1)  # past the queue head

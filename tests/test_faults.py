@@ -52,6 +52,10 @@ class TestFaultPlan:
         with pytest.raises(ConfigurationError):
             FaultPlan().link_down(-0.1)
 
+    def test_nan_time_rejected(self):
+        with pytest.raises(ConfigurationError):
+            FaultPlan().link_down(float("nan"))
+
     def test_outage_needs_positive_duration(self):
         with pytest.raises(ConfigurationError):
             FaultPlan().link_outage(1.0, 0)

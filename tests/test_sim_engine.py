@@ -1,5 +1,7 @@
 """Tests for the discrete-event simulator core."""
 
+import random
+
 import pytest
 
 from repro.errors import SimulationError
@@ -50,6 +52,26 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             sim.schedule_in(-1, lambda: None)
 
+    def test_nan_time_rejected(self):
+        # NaN compares False both ways: a plain `time < now` check would
+        # let it into the heap, where it fires out of order and leaves
+        # the clock at NaN.
+        sim = Simulator()
+        out = []
+        for t in (0.5, 1.0, 2.0, 3.0):
+            sim.schedule(t, out.append, t)
+        with pytest.raises(SimulationError):
+            sim.schedule(float("nan"), out.append, "nan")
+        sim.run()
+        assert out == [0.5, 1.0, 2.0, 3.0]
+        assert sim.now == 3.0
+
+    def test_nan_delay_rejected(self):
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            sim.schedule_in(float("nan"), lambda: None)
+        assert sim.pending == 0
+
 
 class TestRun:
     def test_until_stops_and_advances_clock(self):
@@ -62,6 +84,22 @@ class TestRun:
         assert sim.now == 3.0
         sim.run()
         assert out == [1, 5]
+
+    def test_event_exactly_at_horizon_fires(self):
+        # run(until=t) serves events at exactly t and leaves anything
+        # later queued.
+        sim = Simulator()
+        out = []
+        sim.schedule(1.0, out.append, "before")
+        sim.schedule(2.0, out.append, "at")
+        sim.schedule(2.0, out.append, "at-too")
+        sim.schedule(2.0 + 5e-9, out.append, "after")
+        sim.run(until=2.0)
+        assert out == ["before", "at", "at-too"]
+        assert sim.now == 2.0
+        assert sim.pending == 1
+        sim.run()
+        assert out[-1] == "after"
 
     def test_max_events(self):
         sim = Simulator()
@@ -126,13 +164,6 @@ class TestCancellation:
         assert sim.step() is None
 
 
-def _queued_entries(sim):
-    """Engine-agnostic view of the queued (live + tombstone) entries."""
-    if sim._cal is not None:
-        return list(sim._cal.entries())
-    return list(sim._queue)
-
-
 class TestLazyCompaction:
     """Bulk cancellation must shrink the queue, not just tombstone it."""
 
@@ -146,9 +177,9 @@ class TestLazyCompaction:
             ev.cancel()
         # The tombstones were reclaimed eagerly: the internal queue holds
         # only the live event, and pending agrees.
-        assert len(_queued_entries(sim)) < Simulator.COMPACT_MIN_CANCELLED
+        assert len(sim._queue) < Simulator.COMPACT_MIN_CANCELLED
         assert sim.pending == 1
-        assert any(entry[3] is keep for entry in _queued_entries(sim))
+        assert any(entry[3] is keep for entry in sim._queue)
 
     def test_pending_counts_only_live_events(self):
         sim = Simulator()
@@ -156,7 +187,7 @@ class TestLazyCompaction:
         events[0].cancel()
         events[3].cancel()
         assert sim.pending == 6  # below the floor: no compaction yet
-        assert len(_queued_entries(sim)) == 8
+        assert len(sim._queue) == 8
 
     def test_double_cancel_counts_once(self):
         sim = Simulator()
@@ -191,6 +222,58 @@ class TestLazyCompaction:
         sim.run()
         assert out == sorted(survivors)
 
+    def test_compaction_keeps_exact_order_at_scale(self):
+        # Cancel a third of a large population, keep scheduling past the
+        # compaction, then drain: survivors fire in exact order and the
+        # tombstones stay dead through the rebuild.
+        rng = random.Random(11)
+        sim = Simulator()
+        out = []
+        doomed = []
+        for i in range(900):
+            t = rng.uniform(0.0, 10.0)
+            ev = sim.schedule(t, out.append, (t, i))
+            if i % 3 == 0:
+                doomed.append((ev, (t, i)))
+        for ev, _ in doomed:
+            ev.cancel()
+        for i in range(900, 2400):
+            t = rng.uniform(0.0, 1000.0)
+            sim.schedule(t, out.append, (t, i))
+        sim.run()
+        dead = {payload for _, payload in doomed}
+        assert not dead & set(out)
+        assert out == sorted(out)
+        assert len(out) == 2400 - len(doomed)
+        assert sim.pending == 0
+
+
+class TestSnapshot:
+    def test_rollback_replays_the_same_trace(self):
+        # Snapshots capture callbacks by reference, so the rollback runs
+        # on the same simulator.
+        sim = Simulator()
+        out = []
+
+        def tick(n, dt):
+            out.append((sim.now, n))
+            if sim.now < 30.0:
+                sim.schedule_in(dt, tick, n, dt)
+
+        for i in range(40):
+            sim.schedule_in(0.1 + i * 0.01, tick, i, 0.7 + i * 0.013)
+        sim.run(until=10.0)
+        snap = sim.snapshot()
+        prefix = list(out)
+        sim.run()
+        want = list(out)
+
+        sim.restore(snap)
+        out[:] = prefix
+        sim.run()
+        assert out == want
+        assert sim.now == want[-1][0]
+
 
 class TestAdvanceTo:
     """The bounded inline clock advance behind the link's burst-drain."""
@@ -213,6 +296,26 @@ class TestAdvanceTo:
         sim, out = self.run_with(body)
         assert out == [1.5, 1.75]
         assert sim.events_elided == 2
+
+    def test_count_accounts_many_events_with_the_same_bounds(self):
+        sim = Simulator()
+        sim.schedule(5.0, lambda: None)
+        sim.advance_to(2.0, 3)
+        assert sim.now == 2.0
+        assert sim.events_elided == 3
+        with pytest.raises(SimulationError):
+            sim.advance_to(1.0, 1)  # into the past
+        with pytest.raises(SimulationError):
+            sim.advance_to(6.0, 1)  # past the queue head
+        assert sim.now == 2.0
+        assert sim.events_elided == 3
+
+    def test_advance_to_nan_rejected(self):
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            sim.advance_to(float("nan"))
+        assert sim.now == 0.0
+        assert sim.events_elided == 0
 
     def test_advance_backwards_rejected(self):
         def body(sim, out):
