@@ -18,6 +18,13 @@ checkpoint payload (the cell-level snapshots ``repro.shard.worker``
 builds, the service-mode state ``repro.serve`` checkpoints) to disk with
 crash-safe atomicity:
 
+* a payload is pickled exactly once: :func:`encode_payload` returns an
+  immutable :class:`EncodedPayload`, which :func:`save_checkpoint` writes
+  as-is — so one encoding can feed both the durable file and an
+  in-memory rollback copy (``repro.serve`` keeps it as its quarantine
+  target and decodes a private copy with ``pickle.loads``); any other
+  payload, plain ``bytes`` included, is pickled on save;
+
 * the payload is written to a temp file in the target directory, flushed
   and ``fsync``'d, then moved into place with ``os.replace`` (atomic on
   POSIX), and the directory entry is fsync'd — a crash at any instant
@@ -45,6 +52,8 @@ __all__ = [
     "rollback",
     "save_checkpoint",
     "load_checkpoint",
+    "encode_payload",
+    "EncodedPayload",
     "CheckpointStore",
     "CHECKPOINT_MAGIC",
     "CHECKPOINT_VERSION",
@@ -60,20 +69,48 @@ CHECKPOINT_VERSION = 1
 _HEADER = struct.Struct(">4sIQ32s")
 
 
+class EncodedPayload:
+    """A checkpoint payload already pickled by :func:`encode_payload`.
+
+    A distinct type, so :func:`save_checkpoint` can tell "write these
+    bytes" from a plain ``bytes`` payload (which it pickles like any other
+    value).  ``blob`` is immutable: ``pickle.loads(encoded.blob)`` is
+    always a fresh, private copy of the payload as it was when encoded.
+    """
+
+    __slots__ = ("blob",)
+
+    def __init__(self, blob):
+        self.blob = blob
+
+
+def encode_payload(payload, path=None):
+    """Pickle ``payload`` once into an :class:`EncodedPayload`.
+
+    Raises :class:`~repro.errors.CheckpointError` (reason ``"pickle"``)
+    when the payload is not picklable; ``path`` only labels that error.
+    """
+    try:
+        return EncodedPayload(
+            pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
+    except Exception as exc:
+        raise CheckpointError(path, "pickle",
+                              f"payload is not picklable: {exc}") from exc
+
+
 def save_checkpoint(path, payload):
     """Atomically persist a picklable ``payload`` to ``path``.
 
-    Temp file + fsync + ``os.replace`` + directory fsync: after this
-    returns, the checkpoint survives a crash or power loss; if the
+    An :class:`EncodedPayload` is written as-is; anything else is pickled
+    first.  Temp file + fsync + ``os.replace`` + directory fsync: after
+    this returns, the checkpoint survives a crash or power loss; if the
     process dies mid-write, ``path`` still holds its previous content
     (or stays absent).  Returns the number of bytes written.
     """
     path = os.fspath(path)
-    try:
-        blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-    except Exception as exc:
-        raise CheckpointError(path, "pickle",
-                              f"payload is not picklable: {exc}") from exc
+    if not isinstance(payload, EncodedPayload):
+        payload = encode_payload(payload, path)
+    blob = payload.blob
     header = _HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(blob),
                           hashlib.sha256(blob).digest())
     directory = os.path.dirname(path) or "."
@@ -131,11 +168,14 @@ def load_checkpoint(path):
                 f"format version {version} does not match this build's "
                 f"version {CHECKPOINT_VERSION}; refusing to guess at the "
                 f"layout")
-        blob = fh.read(length + 1)
-        if len(blob) != length:
+        # Check the header's length against the file before reading: a
+        # corrupt length must be a typed defect, not a huge allocation.
+        size = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if length != size:
             raise CheckpointError(
                 path, "truncated",
-                f"payload is {len(blob)} bytes, header promises {length}")
+                f"payload is {size} bytes, header promises {length}")
+        blob = fh.read(length)
         if hashlib.sha256(blob).digest() != digest:
             raise CheckpointError(
                 path, "digest",
@@ -151,12 +191,13 @@ def load_checkpoint(path):
 class CheckpointStore:
     """A directory of sequentially numbered durable checkpoints.
 
-    ``save(payload)`` writes ``ckpt-<seq>.bin`` atomically and prunes old
-    files beyond ``keep``; ``load_latest()`` returns the newest payload
-    that passes verification, *skipping* corrupt/truncated/foreign files
-    (each skip is reported through ``on_skip(path, error)``), so a crash
-    mid-write — or a damaged newest file — degrades to the previous good
-    checkpoint instead of killing recovery.
+    ``save(payload)`` (a picklable value or an :class:`EncodedPayload`,
+    see :func:`save_checkpoint`) writes ``ckpt-<seq>.bin`` atomically and
+    prunes old files beyond ``keep``; ``load_latest()`` returns the newest
+    payload that passes verification, *skipping* corrupt/truncated/foreign
+    files (each skip is reported through ``on_skip(path, error)``), so a
+    crash mid-write — or a damaged newest file — degrades to the previous
+    good checkpoint instead of killing recovery.
     """
 
     def __init__(self, directory, keep=3, on_skip=None):

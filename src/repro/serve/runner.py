@@ -14,7 +14,9 @@ Crash tolerance is checkpoint-shaped.  Every ``checkpoint_every``
 simulated seconds the runner persists a self-contained payload — the
 effective spec, the joint link+scheduler snapshot, per-source emission
 snapshots, and the running service digest — through the atomic
-:class:`~repro.faults.checkpoint.CheckpointStore`.  A fresh process (or
+:class:`~repro.faults.checkpoint.CheckpointStore`.  The payload is
+pickled once; the same immutable encoding is the durable file's content
+and the in-memory quarantine rollback target.  A fresh process (or
 the in-process :class:`~repro.serve.supervisor.Supervisor`) rebuilds from
 the newest verifiable file with :meth:`ServiceRunner.recover`; the
 arrival streams replay bit-identically from their snapshots, so the
@@ -45,6 +47,7 @@ Degradation ladder, mildest first:
 
 import copy
 import hashlib
+import pickle
 import time
 from collections import deque
 from fractions import Fraction
@@ -57,6 +60,7 @@ from repro.errors import (
     ServiceCrash,
     ServiceStall,
 )
+from repro.faults.checkpoint import encode_payload
 
 __all__ = ["ServiceRunner", "DigestTrace"]
 
@@ -168,8 +172,8 @@ class ServiceRunner:
         Durable checkpoint cadence: every ``checkpoint_every`` simulated
         seconds a payload is written atomically into ``checkpoint_dir``
         (``keep`` newest files retained).  With no directory the runner
-        still keeps an in-memory checkpoint at the same cadence — the
-        quarantine rollback target.
+        still keeps an in-memory checkpoint (the encoded payload) at the
+        same cadence — the quarantine rollback target.
     idle_ttl:
         Evict per-flow scheduler state of flows idle longer than this
         many simulated seconds (flat cells only).  Service order is
@@ -276,7 +280,8 @@ class ServiceRunner:
         snaps the fresh simulator's clock to the checkpoint time (every
         restored event is strictly later).  Metric sinks restart empty —
         gauges are not part of the digest contract — while the chained
-        digest resumes exactly.
+        digest resumes exactly.  The payload, encoded, becomes the
+        quarantine rollback target.
         """
         self.link.restore(payload["link"], rearm=True)
         pairs = sorted(
@@ -304,7 +309,7 @@ class ServiceRunner:
             self._next_ckpt = boundary
         else:
             self._next_ckpt = None
-        self._last_payload = payload
+        self._last_payload = encode_payload(payload)
 
     def _arm_faults(self, after):
         """Arm the effective spec's fault plan on the live simulator.
@@ -603,7 +608,7 @@ class ServiceRunner:
             raise ServiceCrash(exc)
         self._incident("quarantine", target=flow,
                        detail=f"[{exc.invariant}] {exc.message}")
-        payload = copy.deepcopy(self._last_payload)
+        payload = pickle.loads(self._last_payload.blob)
         spec = payload["spec"]
         keep = [i for i, s in enumerate(spec["sources"])
                 if s["flow"] != flow]
@@ -687,9 +692,16 @@ class ServiceRunner:
     # Checkpoints
     # ------------------------------------------------------------------
     def _payload(self):
-        return {
+        """The service state now, pickled once into an
+        :class:`~repro.faults.checkpoint.EncodedPayload`.
+
+        Encoding here snapshots the effective spec (no copy needed: later
+        commands mutate the live spec, never the bytes).  Source snapshots
+        carry only their unconsumed timetable tails.
+        """
+        return encode_payload({
             "kind": "serve",
-            "spec": copy.deepcopy(self.spec),
+            "spec": self.spec,
             "clock": self.sim.now,
             "link": self.link.snapshot(),
             "sources": [source.snapshot() for source in self.sources],
@@ -702,13 +714,14 @@ class ServiceRunner:
             "stats": {"commands": self.commands_applied,
                       "checkpoints": self.checkpoints_written,
                       "recoveries": self.recoveries},
-        }
+        })
 
     def checkpoint(self):
         """Capture the service state now; returns the file path (or None).
 
         Always refreshes the in-memory rollback payload; writes a
-        durable file only when a ``checkpoint_dir`` was given.
+        durable file only when a ``checkpoint_dir`` was given.  Both are
+        the one encoding :meth:`_payload` returns.
         """
         payload = self._payload()
         self._last_payload = payload

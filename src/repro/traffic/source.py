@@ -72,7 +72,7 @@ class Source:
         #: or after the source ran dry); lets :meth:`snapshot` capture the
         #: exact time of the pending emission without scanning the queue.
         self._pending = None
-        self._timetable = ()
+        self._timetable = []
         self._timetable_idx = 0
 
     def attach(self, sim, link):
@@ -86,7 +86,7 @@ class Source:
         if self.sim is None:
             raise ConfigurationError("attach(sim, link) before start()")
         if self.TIMETABLE_CHUNK > 0:
-            self._timetable = ()
+            self._timetable = []
             self._timetable_idx = 0
             self._pending = self.sim.schedule(self.start_time,
                                               self._emit_timetable)
@@ -164,14 +164,18 @@ class Source:
     def snapshot(self):
         """Plain-data checkpoint of the emission state (picklable).
 
-        Captures the counters, the remaining precomputed timetable, the
-        RNG state (sources that draw randomness), and the absolute time of
-        the pending emission event — everything a fresh process needs to
-        resume the arrival stream bit-identically.  Restore into a source
-        built from the *same* constructor arguments (the configuration is
-        not captured), attached to a simulator whose clock has not passed
-        the pending emission: :meth:`restore` re-schedules it there.
-        Used by :mod:`repro.shard` for checkpoint-based shard migration.
+        Captures the counters, the unconsumed tail of the precomputed
+        timetable (stored with ``timetable_idx`` 0), the RNG state
+        (sources that draw randomness), and the absolute time of the
+        pending emission event — everything a fresh process needs to
+        resume the arrival stream bit-identically.  A source whose pending
+        emission will not read the timetable — none pending (dry or
+        stopped), or one due at or past ``stop_time`` — stores ``[]``.
+        Restore into a source built from the *same* constructor arguments
+        (the configuration is not captured), attached to a simulator whose
+        clock has not passed the pending emission: :meth:`restore`
+        re-schedules it there.  Used by :mod:`repro.shard` for
+        checkpoint-based shard migration and by :mod:`repro.serve`.
         """
         pending = self._pending
         pending_time = None
@@ -179,13 +183,18 @@ class Source:
                 and pending.sim is self.sim
                 and pending.epoch == self.sim.epoch):
             pending_time = pending.time
+        stop = self.stop_time
+        if pending_time is None or (stop is not None and pending_time >= stop):
+            timetable = []
+        else:
+            timetable = self._timetable[self._timetable_idx:]
         snap = {
             "flow_id": self.flow_id,
             "packets_sent": self.packets_sent,
             "bits_sent": self.bits_sent,
             "pending_time": pending_time,
-            "timetable": list(self._timetable),
-            "timetable_idx": self._timetable_idx,
+            "timetable": timetable,
+            "timetable_idx": 0,
             "extra": self._snapshot_extra(),
         }
         rng = getattr(self, "_rng", None)
@@ -196,7 +205,8 @@ class Source:
     def restore(self, snap):
         """Resume from a :meth:`snapshot`; re-schedules the pending emission.
 
-        Call after :meth:`attach` *instead of* :meth:`start`.
+        Call after :meth:`attach` *instead of* :meth:`start`.  Snapshots
+        that carry a whole chunk plus a cursor restore the same way.
         """
         if snap["flow_id"] != self.flow_id:
             raise ConfigurationError(

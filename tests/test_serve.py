@@ -8,6 +8,8 @@ digest-identity verdict.  Checkpoint *file* defects (truncation,
 corruption, version skew) live in ``test_serve_recovery.py``.
 """
 
+import pickle
+
 import pytest
 
 from repro.core.packet import Packet
@@ -385,12 +387,42 @@ class TestQuarantine:
         runner.run_to(0.5)
         assert "f0001" in runner.status()["ingress_blocked"]
         # The effective spec no longer feeds the flow; a recovery-shaped
-        # rebuild from the live payload must agree with the survivor.
-        resumed = ServiceRunner(runner._last_payload["spec"],
-                                checkpoint_every=0.05,
-                                _restore=runner._last_payload)
+        # rebuild from the live (encoded) payload must agree with the
+        # survivor.
+        payload = pickle.loads(runner._last_payload.blob)
+        resumed = ServiceRunner(payload["spec"], checkpoint_every=0.05,
+                                _restore=payload)
         resumed.run_to(0.5)
         assert resumed.digest == runner.digest
+
+    @pytest.mark.parametrize("op, params", [
+        ("set_share", {"flow": "f0000", "share": 9}),
+        ("attach", {"flow": "late", "share": 2}),
+        ("add_source", {"source": {
+            "type": "cbr", "flow": "f0000", "length": 8000.0,
+            "rate": 1e5, "start": 0.0, "stop": 0.4}}),
+    ])
+    def test_rollback_uses_checkpoint_time_spec(self, op, params):
+        """A command applied after the last checkpoint mutates the live
+        effective spec, never the rollback target: the quarantine rebuilds
+        the world the checkpoint described."""
+        def tripped(command):
+            runner = ServiceRunner(small_spec(), checkpoint_every=0.05)
+            runner.link.attach_observer(tripwire("f0001", 0.18))
+            runner.run_to(0.16)  # last checkpoint at 0.15
+            if command:
+                runner.submit(op, **params)
+                runner.run_to(0.17)
+                assert runner.commands_applied == 1
+            runner.run_to(0.5)
+            assert "f0001" in runner.quarantined
+            return runner
+
+        with_command, without = tripped(True), tripped(False)
+        assert with_command.spec == without.spec
+        assert with_command.commands_applied == 0
+        assert with_command.digest == without.digest
+        assert with_command.trace.rows == without.trace.rows
 
     def test_anonymous_violation_escalates_to_crash(self):
         def fn(event):

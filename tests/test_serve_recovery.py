@@ -10,6 +10,7 @@ after a recovery recovers again), and store pruning.
 """
 
 import os
+import pickle
 import struct
 
 import pytest
@@ -19,6 +20,8 @@ from repro.faults.checkpoint import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
     CheckpointStore,
+    EncodedPayload,
+    encode_payload,
     load_checkpoint,
     save_checkpoint,
 )
@@ -69,6 +72,21 @@ class TestLoadDefects:
         path.write_bytes(blob[:-3])
         assert self.reason(path) == "truncated"
 
+    def test_length_beyond_file_is_truncated(self, tmp_path):
+        """A corrupt length field is checked against the file size, never
+        used as a read size."""
+        path = self.write(tmp_path)
+        blob = bytearray(path.read_bytes())
+        magic, version, _length, digest = _HEADER.unpack(blob[:_HEADER.size])
+        blob[:_HEADER.size] = _HEADER.pack(magic, version, 2 ** 62, digest)
+        path.write_bytes(bytes(blob))
+        assert self.reason(path) == "truncated"
+
+    def test_trailing_bytes_are_truncated(self, tmp_path):
+        path = self.write(tmp_path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        assert self.reason(path) == "truncated"
+
     def test_foreign_file(self, tmp_path):
         path = self.write(tmp_path)
         path.write_bytes(b"PK\x03\x04 definitely a zip" + b"\x00" * 64)
@@ -96,6 +114,24 @@ class TestLoadDefects:
                             {"fn": lambda: None})
         assert err.value.reason == "pickle"
 
+    def test_encoded_payload_written_as_is(self, tmp_path):
+        encoded = encode_payload({"clock": 0.5, "rows": [4, 5]})
+        assert isinstance(encoded, EncodedPayload)
+        path = tmp_path / "ckpt-00000001.bin"
+        size = save_checkpoint(path, encoded)
+        assert path.read_bytes()[_HEADER.size:] == encoded.blob
+        assert size == _HEADER.size + len(encoded.blob)
+        assert load_checkpoint(path) == {"clock": 0.5, "rows": [4, 5]}
+
+    def test_plain_bytes_payload_is_still_pickled(self, tmp_path):
+        path = self.write(tmp_path, b"raw bytes")
+        assert load_checkpoint(path) == b"raw bytes"
+
+    def test_unpicklable_payload_refused_at_encode(self):
+        with pytest.raises(CheckpointError) as err:
+            encode_payload({"fn": lambda: None})
+        assert err.value.reason == "pickle"
+
     def test_magic_and_version_exported(self):
         assert CHECKPOINT_MAGIC == b"RPCK"
         assert isinstance(CHECKPOINT_VERSION, int)
@@ -121,6 +157,24 @@ class TestStore:
         assert payload == {"n": 2}
         assert skips == [(bad, "magic")]
         assert os.path.exists(bad)  # skipped, never deleted
+
+    def test_load_latest_skips_impossible_length(self, tmp_path):
+        """A newest file whose header promises 2**62 payload bytes is
+        skipped as truncated; recovery falls back to the older file."""
+        store = CheckpointStore(tmp_path, keep=5)
+        store.save({"n": 1})
+        bad = store.save({"n": 2})
+        with open(bad, "r+b") as fh:
+            magic, version, _length, digest = _HEADER.unpack(
+                fh.read(_HEADER.size))
+            fh.seek(0)
+            fh.write(_HEADER.pack(magic, version, 2 ** 62, digest))
+        skips = []
+        probe = CheckpointStore(
+            tmp_path, on_skip=lambda path, exc: skips.append((path,
+                                                              exc.reason)))
+        assert probe.load_latest() == ({"n": 1}, store.path_for(1))
+        assert skips == [(bad, "truncated")]
 
     def test_load_latest_empty_dir(self, tmp_path):
         assert CheckpointStore(tmp_path).load_latest() == (None, None)
@@ -161,6 +215,42 @@ class TestServiceRecovery:
         assert categories == ["checkpoint-skipped", "crash-recovered"]
         skipped = survivor.incidents[0]
         assert skipped.target == damaged and "truncated" in skipped.detail
+        survivor.run_to(0.5)
+        assert survivor.digest == baseline.digest
+        assert survivor.trace.rows == baseline.trace.rows
+
+    def test_checkpoint_file_holds_the_rollback_encoding(self, tmp_path):
+        """One encoding feeds both the durable file and the in-memory
+        quarantine rollback target."""
+        runner = ServiceRunner(spec(), checkpoint_dir=tmp_path,
+                               checkpoint_every=0.05)
+        runner.run_to(0.12)
+        path = runner.checkpoint()
+        with open(path, "rb") as fh:
+            assert fh.read()[_HEADER.size:] == runner._last_payload.blob
+        assert isinstance(runner._last_payload, EncodedPayload)
+
+    def test_whole_chunk_source_snapshots_recover(self, tmp_path):
+        """A checkpoint whose source snapshots carry whole timetable
+        chunks plus cursors (the earlier layout, same format version)
+        recovers to the same digest."""
+        baseline = ServiceRunner(spec(), checkpoint_every=0.05)
+        baseline.run_to(0.5)
+
+        victim = ServiceRunner(spec(), checkpoint_every=0.05)
+        victim.run_to(0.1)
+        payload = pickle.loads(victim._last_payload.blob)
+        widened = 0
+        for source, snap in zip(victim.sources, payload["sources"]):
+            if snap["timetable"]:
+                snap["timetable"] = list(source._timetable)
+                snap["timetable_idx"] = source._timetable_idx
+                widened += 1
+        assert widened
+        save_checkpoint(tmp_path / "ckpt-00000001.bin", payload)
+        del victim
+
+        survivor = ServiceRunner.recover(tmp_path, checkpoint_every=0.05)
         survivor.run_to(0.5)
         assert survivor.digest == baseline.digest
         assert survivor.trace.rows == baseline.trace.rows

@@ -279,3 +279,117 @@ class TestSourceSnapshotRestore:
         with pytest.raises(NotImplementedError):
             ShapedSource(CBRSource("f", 1e6, 1000.0),
                          sigma=8000.0, rho=1e6).snapshot()
+
+
+# ----------------------------------------------------------------------
+# Tail-only timetable snapshots
+# ----------------------------------------------------------------------
+def _timetabled_sources():
+    from repro.traffic.source import (
+        CBRSource,
+        OnOffSource,
+        PacketTrainSource,
+        PoissonSource,
+    )
+
+    return {
+        "cbr": lambda: CBRSource("f", 1e6, 1000.0),
+        "poisson": lambda: PoissonSource("f", 1e6, 1000.0, seed=7),
+        "onoff": lambda: OnOffSource("f", 2e6, 1000.0, on_duration=0.01,
+                                     off_duration=0.015),
+        "train": lambda: PacketTrainSource(
+            "f", 1000.0, train_length=4, train_interval=0.005,
+            line_rate=1e7, jitter=0.0005, jitter_seed=3),
+    }
+
+
+def _started(make):
+    from repro.sim.engine import Simulator
+
+    sim = Simulator()
+    sink = _Collector(sim)
+    source = make().attach(sim, sink).start()
+    return sim, sink, source
+
+
+def _stepped_to_cursor(make, cursor):
+    """A started source stepped until its timetable cursor is ``cursor``
+    within a full first chunk (0: before the first emission)."""
+    sim, sink, source = _started(make)
+    chunk = source.TIMETABLE_CHUNK
+    while cursor and not (len(source._timetable) == chunk
+                          and source._timetable_idx == cursor):
+        sim.step()
+    return sim, sink, source
+
+
+def _resumed(make, snap, end):
+    from repro.sim.engine import Simulator
+
+    sim = Simulator()
+    sink = _Collector(sim)
+    make().attach(sim, sink).restore(snap)
+    sim.run(until=end)
+    return sink.packets
+
+
+def _reference(make, emissions):
+    """The uninterrupted stream up to its ``emissions``-th emission time."""
+    sim, sink, _source = _started(make)
+    for _ in range(emissions):
+        sim.step()
+    end = sim.now
+    sim.run(until=end)
+    return sink.packets, end
+
+
+class TestTailOnlySnapshots:
+    @pytest.mark.parametrize("kind", ["cbr", "poisson", "onoff", "train"])
+    @pytest.mark.parametrize("where", ["0", "1", "mid", "len-1", "len"])
+    def test_any_cursor_resumes_bit_identically(self, kind, where):
+        make = _timetabled_sources()[kind]
+        chunk = make().TIMETABLE_CHUNK
+        cursor = {"0": 0, "1": 1, "mid": chunk // 2, "len-1": chunk - 1,
+                  "len": chunk}[where]
+        # Past a second refill, so the restored source refills too.
+        reference, end = _reference(make, 2 * chunk + 20)
+        _sim, first, source = _stepped_to_cursor(make, cursor)
+        tail = source._timetable[source._timetable_idx:]
+        snap = source.snapshot()
+        assert snap["timetable"] == tail
+        assert len(tail) == (chunk - cursor if cursor else 0)
+        assert snap["timetable_idx"] == 0
+        assert first.packets + _resumed(make, snap, end) == reference
+
+    @pytest.mark.parametrize("cut", [0.0107, 0.02])
+    def test_stopped_source_snapshots_no_timetable(self, cut):
+        """Past ``stop_time`` nothing will read the table — whether the
+        last emission (due after the stop) is still pending or not."""
+        from repro.traffic.source import CBRSource
+
+        def make():
+            return CBRSource("f", 1e6, 1000.0, stop_time=0.0105)
+
+        sim, reference, _source = _started(make)
+        sim.run(until=0.03)
+        sim, first, source = _started(make)
+        sim.run(until=cut)
+        snap = source.snapshot()
+        assert snap["timetable"] == []
+        # At 0.0107 the emission due at 0.011 is pending; at 0.02 it has
+        # fired and stopped the source.
+        assert (snap["pending_time"] is None) == (cut == 0.02)
+        assert first.packets + _resumed(make, snap, 0.03) == reference.packets
+
+    @pytest.mark.parametrize("kind", ["cbr", "poisson", "onoff", "train"])
+    def test_whole_chunk_snapshot_still_restores(self, kind):
+        """A snapshot carrying the whole chunk plus its cursor resumes
+        exactly like the tail-only one."""
+        make = _timetabled_sources()[kind]
+        chunk = make().TIMETABLE_CHUNK
+        reference, end = _reference(make, 2 * chunk + 20)
+        _sim, first, source = _stepped_to_cursor(make, chunk // 3)
+        snap = dict(source.snapshot(),
+                    timetable=list(source._timetable),
+                    timetable_idx=source._timetable_idx)
+        assert first.packets + _resumed(make, snap, end) == reference
