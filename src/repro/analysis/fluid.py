@@ -48,7 +48,6 @@ import heapq
 import itertools
 from bisect import bisect_left
 
-from repro.core.batch import HAVE_NUMPY, NUMPY_MIN_CHUNK
 from repro.core.gps import GPSFluidSystem, GPSPacket
 from repro.errors import (
     ConfigurationError,
@@ -56,10 +55,18 @@ from repro.errors import (
     UnknownFlowError,
 )
 
-if HAVE_NUMPY:
+try:
     import numpy as _np
+    HAVE_NUMPY = True
+except ImportError:  # pragma: no cover - exercised on numpy-less hosts
+    _np = None
+    HAVE_NUMPY = False
 
 __all__ = ["fluid_finish_times"]
+
+#: Below this many elements the plain-Python loop beats the numpy call
+#: overhead (ufunc dispatch + array conversion).
+NUMPY_MIN_CHUNK = 16
 
 
 class _Flow:

@@ -195,10 +195,18 @@ def platform_info():
     }
 
 
+def _numpy_version():
+    """The installed numpy's version string, or None without numpy."""
+    from importlib import metadata
+
+    try:
+        return metadata.version("numpy")
+    except metadata.PackageNotFoundError:
+        return None
+
+
 def to_payload(points):
     """Build the JSON document for a list of points."""
-    from repro.core.batch import numpy_version
-
     return {
         "version": SCHEMA_VERSION,
         "generated_at": time.strftime(
@@ -207,9 +215,9 @@ def to_payload(points):
         # True = measured against uncommitted changes; see _git_dirty.
         "dirty": _git_dirty(),
         "python": sys.version.split()[0],
-        # None on numpy-less hosts: the columnar kernels then ran their
-        # pure-array lanes, which is provenance a baseline must carry.
-        "numpy": numpy_version(),
+        # None on numpy-less hosts, where analysis.fluid runs its
+        # plain-loop lane.
+        "numpy": _numpy_version(),
         "platform": platform_info(),
         "scenarios": [p.to_dict() for p in points],
     }

@@ -7,9 +7,11 @@ Three equivalence claims are pinned here:
   equivalent per-packet call sequence produces: same service order, same
   times, same virtual tags (exact under ``Fraction``), same drop
   ledgers, and the same observer event stream when a bus is attached.
-* **vector == exact** — :class:`VectorWF2QPlus` is bit-identical to the
-  exact ``WF2QPlusScheduler`` on float workloads whose guaranteed rates
-  are powers of two, with or without numpy, per-packet or batched.
+* **the kernel guards are re-read on every call** — an observer or a
+  buffer cap set *between* batch calls takes the WF2Q+ / H-WF2Q+ batch
+  kernels off the very next call (every later packet is published and
+  every cap enforced), removing it puts them back, and the schedule is
+  the one an unobserved run serves.
 * **the sim layer batch path is invisible** — ``Link.send_batch`` and
   the batch burst drain yield the same services and counters as the
   per-packet stepping path (forced via a non-passive sink).
@@ -26,13 +28,11 @@ from repro.core import (
     HPFQScheduler,
     SCFQScheduler,
     SFQScheduler,
-    VectorWF2QPlus,
     WF2QPlusScheduler,
 )
-from repro.core.batch import HAVE_NUMPY, NUMPY_MIN_CHUNK
 from repro.core.packet import Packet
 from repro.core.scheduler import BATCH_KERNEL_MIN
-from repro.obs import CallbackSink, RingBufferSink
+from repro.obs import CallbackSink, MetricsSink, RingBufferSink
 from repro.sim.engine import Simulator
 from repro.sim.link import Link
 from repro.sim.monitor import ServiceTrace
@@ -66,7 +66,13 @@ BUILDERS = [
     ("SFQ", lambda rate: flat(SFQScheduler, rate), True),
     ("SCFQ", lambda rate: flat(SCFQScheduler, rate), True),
     ("H-WF2Q+", tree, True),
-    ("VectorWF2Q+", lambda rate: flat(VectorWF2QPlus, rate), False),
+]
+
+#: (name, builder) of the schedulers with their own batch kernels, whose
+#: guard (no observer, no buffer caps) is re-read on every batch call.
+KERNELS = [
+    ("WF2Q+", lambda: flat(WF2QPlusScheduler, 1e6, flows=3)),
+    ("H-WF2Q+", lambda: tree(1e6)),
 ]
 
 LENGTHS = (500, 1000, 1500, 8000)
@@ -226,44 +232,217 @@ def test_drain_until_crossing_semantics():
 
 
 def test_enqueue_batch_respects_buffer_limits():
-    def build():
-        sched = flat(WF2QPlusScheduler, 1e6, flows=3)
+    """Caps hold on the batch path, including caps set between batch
+    calls after the kernels have already run."""
+    burst = [(str(i % 3), 1000) for i in range(21)]
+
+    def run(build, mid_run, batched):
+        sched = build()
+        records = []
+        accepted = []
+
+        def send(t):
+            pkts = [Packet(fid, ln) for fid, ln in burst]
+            if batched:
+                accepted.append(sched.enqueue_batch(pkts, now=t))
+            else:
+                accepted.append(sum(bool(sched.enqueue(p, now=t))
+                                    for p in pkts))
+
+        if mid_run:
+            send(0.0)
+            sched.drain_until(None, into=records)
         sched.set_buffer_limit("0", 2)
         sched.set_buffer_limit("1", 3)
-        return sched
+        send(records[-1].finish_time if records else 0.0)
+        sched.drain_until(None, into=records)
+        return (accepted, sched.conservation(),
+                [rec_tuple(r) for r in records])
 
-    burst = [(str(i % 3), 1000) for i in range(21)]
-    ref = build()
-    for fid, ln in burst:
-        ref.enqueue(Packet(fid, ln), now=0.0)
-    got = build()
-    accepted = got.enqueue_batch(
-        [Packet(fid, ln) for fid, ln in burst], now=0.0)
-    assert accepted == ref.conservation()["arrivals"] - \
-        ref.conservation()["drops"]
-    assert got.conservation() == ref.conservation()
-    assert [rec_tuple(r) for r in got.drain()] == \
-        [rec_tuple(r) for r in ref.drain()]
+    for name, build in KERNELS:
+        for mid_run in (False, True):
+            ref = run(build, mid_run, batched=False)
+            got = run(build, mid_run, batched=True)
+            assert got == ref, (name, mid_run)
+            assert ref[0][-1] == 2 + 3 + 7, (name, mid_run)
+            assert ref[1]["drops"] == len(burst) - ref[0][-1]
 
 
 def test_enqueue_batch_with_observer_same_event_stream():
-    def run(batched):
-        sched = flat(WF2QPlusScheduler, 1e6, flows=3)
-        ring = RingBufferSink()
-        sched.attach_observer(ring)
-        pkts = [Packet(str(i % 3), 1000) for i in range(12)]
-        if batched:
-            sched.enqueue_batch(pkts, now=0.0)
-            sched.dequeue_batch(12)
-        else:
-            for p in pkts:
-                sched.enqueue(p, now=0.0)
-            for _ in range(12):
-                sched.dequeue()
-        return [(type(e).__name__, getattr(e, "flow_id", None), e.time)
-                for e in ring.events()]
+    """An observer attached before the run or between batch calls sees
+    one enqueue and one dequeue event for every later packet, exactly the
+    per-packet event stream, and the schedule is the unobserved one."""
+    n = 4 * BATCH_KERNEL_MIN
 
-    assert run(batched=True) == run(batched=False)
+    def run(build, attach, drain, batched):
+        sched = build()
+        ring = RingBufferSink()
+        if attach == "start":
+            sched.attach_observer(ring)
+        records = []
+        t = 0.0
+        for round_ in range(2):
+            if attach == "mid-run" and round_ == 1:
+                sched.attach_observer(ring)
+            pkts = [Packet(str(i % 3), 1000) for i in range(n)]
+            if batched:
+                sched.enqueue_batch(pkts, now=t)
+                if drain == "dequeue_batch":
+                    records.extend(sched.dequeue_batch(n))
+                else:
+                    sched.drain_until(None, into=records)
+            else:
+                for p in pkts:
+                    sched.enqueue(p, now=t)
+                for _ in range(n):
+                    records.append(sched.dequeue())
+            t = records[-1].finish_time + 0.001
+        events = [(e.kind, getattr(e, "flow_id", None), e.time)
+                  for e in ring.events()]
+        return events, [rec_tuple(r) for r in records]
+
+    for name, build in KERNELS:
+        _, unobserved = run(build, None, "dequeue_batch", batched=True)
+        for attach in ("start", "mid-run"):
+            observed = n * (2 if attach == "start" else 1)
+            for drain in ("dequeue_batch", "drain_until"):
+                case = (name, attach, drain)
+                events, records = run(build, attach, drain, batched=True)
+                ref_events, _ = run(build, attach, drain, batched=False)
+                assert events == ref_events, case
+                kinds = [kind for kind, _f, _t in events]
+                assert kinds.count("enqueue") == observed, case
+                assert kinds.count("dequeue") == observed, case
+                assert records == unobserved, case
+
+
+class KernelProbe:
+    """Drives a kernel scheduler in batch rounds, counting the calls that
+    reach its per-packet ``enqueue``/``dequeue``.  The kernels bypass
+    both (and so the event bus and the cap bookkeeping), so the counts
+    show which path each batch call took."""
+
+    N = 4 * BATCH_KERNEL_MIN
+
+    def __init__(self, build):
+        self.sched = sched = build()
+        self.calls = {"enqueue": 0, "dequeue": 0}
+        self.records = []
+        self.t = 0.0
+        enqueue, dequeue = sched.enqueue, sched.dequeue
+
+        def counting_enqueue(packet, now=None):
+            self.calls["enqueue"] += 1
+            return enqueue(packet, now)
+
+        def counting_dequeue(now=None):
+            self.calls["dequeue"] += 1
+            return dequeue(now)
+
+        sched.enqueue, sched.dequeue = counting_enqueue, counting_dequeue
+
+    def round(self, flows="012", drain="dequeue_batch"):
+        """One same-instant burst of ``N`` packets over ``flows`` and a
+        drain; returns the per-packet calls made and the packets accepted."""
+        self.calls.update(enqueue=0, dequeue=0)
+        accepted = self.sched.enqueue_batch(
+            [Packet(flows[i % len(flows)], 1000) for i in range(self.N)],
+            now=self.t)
+        if drain == "dequeue_batch":
+            self.records.extend(self.sched.dequeue_batch(self.N))
+        else:
+            self.sched.drain_until(None, into=self.records)
+        self.t = self.records[-1].finish_time + 0.001
+        return dict(self.calls, accepted=accepted)
+
+    def engaged_round(self, **kw):
+        calls = self.round(**kw)
+        assert calls["dequeue"] == 0
+        assert calls["enqueue"] < self.N
+        return calls
+
+
+def kinds(sink):
+    return [e.kind for e in sink.events()]
+
+
+kernels = pytest.mark.parametrize(
+    "name,build", KERNELS, ids=[k[0] for k in KERNELS])
+PER_PACKET = {"enqueue": KernelProbe.N, "dequeue": KernelProbe.N,
+              "accepted": KernelProbe.N}
+
+
+@kernels
+def test_observer_forces_exact_path(name, build):
+    probe = KernelProbe(build)
+    ring = RingBufferSink()
+    probe.sched.attach_observer(ring)
+    assert probe.round() == PER_PACKET
+    assert probe.round() == PER_PACKET
+    assert kinds(ring).count("enqueue") == 2 * KernelProbe.N
+    assert kinds(ring).count("dequeue") == 2 * KernelProbe.N
+
+
+@kernels
+def test_observer_attached_mid_run_disengages_next_batch(name, build):
+    """Events for the post-attach burst exist only if the guard took the
+    kernels off: the observer sees every later packet."""
+    probe = KernelProbe(build)
+    probe.engaged_round()
+    ring = RingBufferSink()
+    probe.sched.attach_observer(ring)  # mid-run, between batch calls
+    assert probe.round() == PER_PACKET
+    assert kinds(ring).count("enqueue") == KernelProbe.N
+    assert kinds(ring).count("dequeue") == KernelProbe.N
+
+
+@kernels
+def test_detaching_observer_reengages(name, build):
+    probe = KernelProbe(build)
+    engaged = probe.engaged_round()
+    sink = MetricsSink()
+    probe.sched.attach_observer(sink)
+    assert probe.round() == PER_PACKET
+    probe.sched.detach_observer(sink)
+    assert probe.round() == engaged
+
+
+@kernels
+def test_drain_until_also_guarded(name, build):
+    probe = KernelProbe(build)
+    probe.engaged_round(drain="drain_until")
+    ring = RingBufferSink()
+    probe.sched.attach_observer(ring)
+    assert probe.round(drain="drain_until") == PER_PACKET
+    assert kinds(ring).count("dequeue") == KernelProbe.N
+
+
+@kernels
+def test_buffer_limit_set_mid_run_enforced_on_next_batch(name, build):
+    probe = KernelProbe(build)
+    engaged = probe.engaged_round()
+    probe.sched.set_buffer_limit("0", 3)
+    calls = probe.round(flows="0")
+    assert calls["enqueue"] == KernelProbe.N
+    assert calls["accepted"] == 3  # the cap is enforced, not bypassed
+    assert probe.sched.drops("0") == KernelProbe.N - 3
+    # Clearing the cap re-engages from the next call onward.
+    probe.sched.set_buffer_limit("0", None)
+    assert probe.round() == engaged
+
+
+@kernels
+def test_schedule_identical_across_mid_run_attach(name, build):
+    """Disengaging mid-run does not perturb service."""
+    def run(observe):
+        probe = KernelProbe(build)
+        probe.engaged_round()
+        if observe:
+            probe.sched.attach_observer(MetricsSink())
+        probe.round()
+        return [rec_tuple(r) for r in probe.records]
+
+    assert run(observe=True) == run(observe=False)
 
 
 def test_batch_stats_counters():
@@ -304,129 +483,6 @@ def test_small_chunks_use_per_packet_path():
     assert sched.batch_stats()["batch_calls"] == 1
     assert len(sched.dequeue_batch(1)) == 1
     assert sched.batch_stats()["batch_calls"] == 2
-
-
-# ----------------------------------------------------------------------
-# vector == exact
-# ----------------------------------------------------------------------
-def pow2_flat(cls, flows=4):
-    # rate and equal shares chosen so r_i = rate/flows is a power of two:
-    # L / r and L * (1/r) are then both exact in float64.
-    sched = cls(float(2 ** 20))
-    for i in range(flows):
-        sched.add_flow(str(i), 1)
-    return sched
-
-
-@pytest.mark.parametrize("seed", [3, 11])
-def test_vector_bit_identical_to_exact_float(seed):
-    ops = make_ops(random.Random(seed), flows=4)
-    ref = apply_per_packet(pow2_flat(WF2QPlusScheduler), ops, frac=False)
-    got = apply_batched(pow2_flat(VectorWF2QPlus), ops, frac=False)
-    assert [rec_tuple(r) for r in got] == [rec_tuple(r) for r in ref]
-
-
-def test_vector_fraction_inputs_are_float_approximate():
-    exact = flat(WF2QPlusScheduler, Fr(1_000_000), flows=3)
-    vec = flat(VectorWF2QPlus, Fr(1_000_000), flows=3)
-    for i in range(30):
-        p = Packet(str(i % 3), 1000)
-        exact.enqueue(p, now=Fr(0))
-        vec.enqueue(Packet(str(i % 3), 1000), now=0.0)
-    ref, got = exact.drain(), vec.drain()
-    assert len(got) == len(ref)
-    for r, g in zip(ref, got):
-        assert isinstance(g.finish_time, float)
-        assert g.finish_time == pytest.approx(float(r.finish_time))
-
-
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
-def test_vector_numpy_and_fallback_paths_identical(monkeypatch):
-    def run():
-        sched = pow2_flat(VectorWF2QPlus, flows=32)
-        # Same-instant bursts over >= NUMPY_MIN_CHUNK newly backlogged
-        # flows reach the vectorized group-tagging path.
-        burst = [Packet(str(i), 1000) for i in range(2 * NUMPY_MIN_CHUNK)]
-        sched.enqueue_batch(burst, now=0.0)
-        records = sched.dequeue_batch(NUMPY_MIN_CHUNK)
-        last = records[-1].finish_time
-        sched.enqueue_batch(
-            [Packet(str(i), 500) for i in range(NUMPY_MIN_CHUNK)], now=last)
-        sched.drain_until(None, into=records)
-        return [rec_tuple(r) for r in records]
-
-    with_numpy = run()
-    import repro.core.batch as batch_mod
-    monkeypatch.setattr(batch_mod, "HAVE_NUMPY", False)
-    assert run() == with_numpy
-
-
-def test_vector_snapshot_mid_batch_roundtrip():
-    sched = pow2_flat(VectorWF2QPlus, flows=8)
-    sched.enqueue_batch([Packet(str(i % 8), 1000) for i in range(40)],
-                        now=0.0)
-    sched.dequeue_batch(13)  # snapshot lands mid-chunk state
-    snap = sched.snapshot()
-    first = [rec_tuple(r) for r in sched.drain()]
-    fresh = pow2_flat(VectorWF2QPlus, flows=8)
-    fresh.restore(snap)
-    assert [rec_tuple(r) for r in fresh.drain()] == first
-
-
-def test_vector_matches_exact_service_order_on_fig2():
-    """The paper's Figure-2 example through the float64 backend.  Shares
-    are given as integers in the paper's 10:1 ratio rather than 0.5/0.05
-    — 0.05 is not representable in binary, and the rounded share flips
-    the S == V eligibility knife-edge the SEFF alternation sits on; with
-    integer shares every tag is float64-exact and the vector backend
-    must reproduce the exact path's service order."""
-    from repro.experiments.fig2 import fig2_schedule
-
-    ref = [flow_id for flow_id, _s, _f in fig2_schedule(WF2QPlusScheduler)]
-
-    vec = VectorWF2QPlus(rate=1.0)
-    vec.add_flow(1, 10)
-    for j in range(2, 12):
-        vec.add_flow(j, 1)
-    vec.enqueue_batch([Packet(1, 1) for _ in range(11)], now=0.0)
-    vec.enqueue_batch([Packet(j, 1) for j in range(2, 12)], now=0.0)
-    got = [rec.flow_id for rec in vec.drain()]
-
-    assert got == ref
-    assert got[:4] == [1, 2, 1, 3]  # SEFF alternation, paper Section 3.1
-
-
-@pytest.mark.parametrize("seed", [5, 17])
-def test_vector_matches_exact_service_order_on_bursty(seed):
-    """Bursty on/off arrivals (idle gaps crossing busy-period boundaries
-    exercise the epoch-based tag resets) through both backends."""
-    def run(sched):
-        rng = random.Random(seed)
-        records = []
-        clock = 0.0
-        for _ in range(40):
-            fid = str(rng.randrange(4))
-            burst = [Packet(fid, rng.choice((512, 1024)))
-                     for _ in range(rng.randrange(1, 12))]
-            sched.enqueue_batch(burst, now=clock)
-            if rng.random() < 0.6:
-                horizon = clock + rng.randrange(1, 64) / 1024.0
-                sched.drain_until(horizon, into=records)
-            # Occasional long gaps drain the system entirely: the next
-            # burst then opens a fresh busy period.
-            clock += rng.choice((1, 1, 2, 64)) / 1024.0
-            if records:
-                clock = max(clock, records[-1].finish_time)
-        sched.drain_until(None, into=records)
-        return records
-
-    ref = run(pow2_flat(WF2QPlusScheduler))
-    got = run(pow2_flat(VectorWF2QPlus))
-    assert len(ref) > 150
-    assert ([(r.flow_id, r.packet.length) for r in got]
-            == [(r.flow_id, r.packet.length) for r in ref])
-    # Power-of-two rates make float64 exact, so tags agree bit-for-bit.
-    assert [rec_tuple(r) for r in got] == [rec_tuple(r) for r in ref]
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Batch APIs x checkpoint/restore: the interplay must stay exact.
 
-The batched enqueue/dequeue kernels keep derived columnar state next to
-the authoritative ``FlowState`` objects, and the Link's burst-drain path
+The batched enqueue/dequeue kernels hoist heaps and counters out of the
+authoritative ``FlowState`` objects, and the Link's burst-drain path
 services whole chunks between simulator events.  None of that may leak
 into checkpoints: a snapshot taken mid-way through a batched workload
 must restore to packet-for-packet identical continuations — Fraction
@@ -84,7 +84,7 @@ def test_midbatch_snapshot_roundtrip_exact(name, build):
     sched = build()
     _, clock = batch_churn(sched, random.Random(21), steps=50)
     # Land the snapshot mid-batch: a large burst just arrived and only
-    # part of it has been served, so kernels have hot columnar state.
+    # part of it has been served, so the kernels' heaps are mid-burst.
     sched.enqueue_batch([Packet(str(i % 6), 1000) for i in range(24)],
                         now=clock)
     served = sched.dequeue_batch(5)

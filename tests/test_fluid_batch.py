@@ -8,7 +8,10 @@ numpy lane (same-instant bursts >= NUMPY_MIN_CHUNK) and the plain-loop
 lane, across busy-period resets and interleaved same-instant arrivals.
 """
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as Fr
 
 import pytest
@@ -131,3 +134,17 @@ class TestValidation:
 
     def test_exported_from_analysis_package(self):
         assert analysis.fluid_finish_times is fluid_finish_times
+
+
+class TestNumpyProbe:
+    def test_core_and_serve_imports_leave_numpy_unloaded(self):
+        # numpy is optional and only analysis.fluid uses it: the
+        # scheduler and service packages must not pull it in.
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        code = ("import sys, repro, repro.core, repro.serve; "
+                "print('numpy' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"

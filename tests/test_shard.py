@@ -204,6 +204,26 @@ class TestScenarios:
                 for src in cell["sources"]] == seeds
 
 
+class TestBuildScheduler:
+    _SPEC = {"kind": "flat", "policy": "wf2qplus", "rate": 8.0,
+             "flows": [["a", 1], ["b", 1]]}
+
+    def test_exact_backend_still_accepted(self):
+        # Persisted serve specs and the perfbench specs carry the key.
+        from repro.core import WF2QPlusScheduler
+        from repro.shard.worker import build_scheduler
+
+        spec = dict(self._SPEC, backend="exact")
+        assert type(build_scheduler(spec)) is WF2QPlusScheduler
+
+    @pytest.mark.parametrize("backend", ["simd", "vector"])
+    def test_build_scheduler_rejects_unknown_backend(self, backend):
+        from repro.shard.worker import build_scheduler
+
+        with pytest.raises(ConfigurationError, match="backend"):
+            build_scheduler(dict(self._SPEC, backend=backend))
+
+
 # ----------------------------------------------------------------------
 # Digest
 # ----------------------------------------------------------------------
