@@ -33,18 +33,18 @@ Hot-path layout
 ---------------
 The tree is flattened at build time (dense ``node_id`` ids, precomputed
 leaf→root ``path`` tuples), and the three operations above run as *iterative
-loops over path tuples* — no recursion, no parent-pointer chasing.  At
-WF2Q+ nodes the RESTART chain uses a fused re-selection
-(:meth:`WF2QPlusNodePolicy.reselect`) that folds the served child's re-key,
-the eligibility classification and the virtual-time advance into one pass
-over the policy heaps; the classification against the *final* eligibility
-threshold (instead of the pre-promotion virtual time) is packet-for-packet
+loops over path tuples* — no recursion, no parent-pointer chasing.  Every
+RESTART-NODE step asks the node's policy for one
+:meth:`NodePolicy.reselect`, which takes the re-keyed child along.  At
+WF2Q+ nodes it folds the served child's re-key, the eligibility
+classification and the virtual-time advance into one pass over the policy
+heaps; the classification against the *final* eligibility threshold
+(instead of the pre-promotion virtual time) is packet-for-packet
 equivalent because the threshold ``max(V_n, Smin_n)`` is non-decreasing
 across consecutive selections of a busy period and heap keys
-``(tag, child_index)`` are unique per child.  When an observability sink is
-attached the generic (unfused) path runs instead, so event ordering is
-byte-identical to the reference implementation and the fused kernels stay
-zero-cost-when-off.
+``(tag, child_index)`` are unique per child.  This is the only decision
+path: an attached observability sink adds events around it but does not
+change which code schedules.
 
 Per-node policies
 -----------------
@@ -57,12 +57,7 @@ spikes in Figures 4-7).
 """
 
 from repro.config.hierarchy_spec import HierarchySpec, NodeSpec
-from repro.core.scheduler import (
-    BATCH_KERNEL_MIN,
-    PacketScheduler,
-    ScheduledPacket,
-    kernel_sized,
-)
+from repro.core.scheduler import PacketScheduler, ScheduledPacket
 from repro.dstruct.heap import IndexedHeap
 from repro.errors import ConfigurationError, HierarchyError
 from repro.obs.events import NodeRestart, VirtualTimeUpdate
@@ -81,8 +76,6 @@ __all__ = [
     "make_hscfq",
     "make_hsfq",
 ]
-
-_INF = float("inf")
 
 
 class _HNode:
@@ -150,18 +143,14 @@ class NodePolicy:
     """Selection + virtual-time policy of one interior node.
 
     The framework notifies the policy whenever a child's logical-queue head
-    is set (with fresh ``start_tag``/``finish_tag``) or cleared; ``select``
-    returns the child to serve next; ``on_select`` advances the node's
-    virtual time for the chosen packet.
+    is set (with fresh ``start_tag``/``finish_tag``) or cleared, and asks
+    :meth:`reselect` for the child to serve next.  A policy either
+    implements ``select`` (the choice) plus ``on_select`` (advance the
+    node's virtual time for the chosen packet), which the default
+    :meth:`reselect` combines, or overrides :meth:`reselect` itself.
     """
 
     name = "abstract"
-
-    #: True only on instances whose select/on_select pair can be fused by
-    #: the iterative RESTART kernel (set per instance by HPFQScheduler for
-    #: exact WF2QPlusNodePolicy objects; subclasses with overridden
-    #: selection logic must keep the generic path).
-    fast = False
 
     def __init__(self, node):
         self.node = node
@@ -179,6 +168,20 @@ class NodePolicy:
     def on_select(self, child, length):
         """Update node virtual/reference time for a selected packet."""
         raise NotImplementedError
+
+    def reselect(self, rekeyed):
+        """RESTART-NODE's choice: return ``(child, threshold)``.
+
+        ``rekeyed`` is a child whose head/tags were just refreshed but not
+        yet handed to :meth:`child_head_set` (or None when nothing
+        changed).  The default admits it and then calls :meth:`select`,
+        returning ``threshold=None`` so the caller follows up with
+        :meth:`on_select`; a policy that can fold the virtual-time update
+        into the choice returns the value ``V_n`` advances from instead.
+        """
+        if rekeyed is not None:
+            self.child_head_set(rekeyed)
+        return self.select(), None
 
     def reset(self):
         """Forget everything (system busy period ended)."""
@@ -200,7 +203,7 @@ class NodePolicy:
         policy's book-keeping and re-admit it with its (possibly re-based)
         tags and child index.  For WF2Q+ the re-classification uses the
         current ``V_n``; a child that was parked ineligible but now has
-        ``s <= V_n`` is promoted early, which ``select`` would have done
+        ``s <= V_n`` is promoted early, which ``reselect`` would have done
         anyway before the next choice — selection order is unchanged.
         """
         self.reconfigure()
@@ -240,9 +243,6 @@ class WF2QPlusNodePolicy(NodePolicy):
         super().__init__(node)
         self._eligible = IndexedHeap()    # key = (finish tag, child index)
         self._ineligible = IndexedHeap()  # key = (start tag, child index)
-        #: max(V_n, Smin_n) computed by the last ``select`` — consumed by
-        #: the immediately following ``on_select`` (no mutation between).
-        self._threshold = 0
 
     def child_head_set(self, child):
         if child.start_tag <= self.node.virtual:
@@ -260,44 +260,27 @@ class WF2QPlusNodePolicy(NodePolicy):
         self._eligible.discard(child)
         self._ineligible.discard(child)
 
-    def select(self):
-        eligible = self._eligible
-        ineligible = self._ineligible
-        # E_n: children with s_m <= max(V_n, Smin_n).  The max with Smin
-        # guarantees at least one eligible child (work conservation).
-        if eligible:
-            threshold = self.node.virtual
-        elif ineligible:
-            threshold = max(self.node.virtual, ineligible.min_key()[0])
-        else:
-            return None
-        ient = ineligible.entries
-        while ient and ient[0][0][0] <= threshold:
-            child = ient[0][2]
-            ineligible.move_top_to(
-                eligible, (child.finish_tag, child.child_index)
-            )
-        self._threshold = threshold
-        return eligible.peek_item()
-
     def reselect(self, rekeyed):
-        """Fused ``child_head_set`` + ``select``: return ``(child, threshold)``.
+        """SEFF choice fused with the re-key: return ``(child, threshold)``.
 
         ``rekeyed`` is a child whose head/tags were just refreshed but not
         yet pushed into the policy heaps (or None when nothing changed).
-        Instead of classifying it against ``V_n`` and then promoting it in
-        ``select``, it is classified directly against the final eligibility
-        threshold ``max(V_n, Smin_n)``.  This is exact: within a busy period
-        the threshold is non-decreasing across consecutive selections
-        (``on_select`` jumps ``V_n`` to threshold + dt), so any child that
-        the two-step path would have parked in the ineligible heap and
-        promoted later still crosses into the eligible heap before it can
-        ever be selected; heap keys ``(tag, child_index)`` are unique per
-        child, so the different insertion order is unobservable.
+        Instead of classifying it against ``V_n`` (as
+        :meth:`child_head_set` does) and promoting it afterwards, it is
+        classified directly against the final eligibility threshold
+        ``max(V_n, Smin_n)``.  This is exact: within a busy period the
+        threshold is non-decreasing across consecutive selections (``V_n``
+        jumps to threshold + dt), so any child that a classify-then-promote
+        order would have parked in the ineligible heap and promoted later
+        still crosses into the eligible heap before it can ever be
+        selected; heap keys ``(tag, child_index)`` are unique per child, so
+        the different insertion order is unobservable
+        (``tests/test_hierarchy_differential.py`` checks it against a
+        list-scan reference policy, observed and unobserved).
 
-        The returned ``threshold`` lets the caller fuse ``on_select`` too:
-        ``V_n <- threshold + L/r_n`` without re-reading Smin.  Returns
-        ``(None, None)`` when no child is headed.
+        The returned ``threshold`` is ``max(V_n, Smin_n)``, so the caller
+        advances ``V_n <- threshold + L/r_n`` (pseudocode line 12) without
+        re-reading Smin.  Returns ``(None, None)`` when no child is headed.
         """
         node = self.node
         eligible = self._eligible
@@ -368,30 +351,21 @@ class WF2QPlusNodePolicy(NodePolicy):
         # Smin's owner is eligible by construction, so the heap is nonempty.
         return eent[0][2], threshold
 
-    def on_select(self, child, length):
-        # V_n <- max(V_n, Smin_n) + L/r_n, with max(V_n, Smin_n) already
-        # computed as the eligibility threshold by the paired ``select``.
-        node = self.node
-        dt = length * node.inv_rate
-        node.virtual = self._threshold + dt
-        node.reference += dt
-
     def reset(self):
         self._eligible.clear()
         self._ineligible.clear()
-        self._threshold = 0
 
     def snapshot(self):
         return {
             "eligible": self._eligible.snapshot(lambda c: c.name),
             "ineligible": self._ineligible.snapshot(lambda c: c.name),
-            "threshold": self._threshold,
         }
 
     def restore(self, snap, nodes):
+        # Snapshots written by earlier versions also carry a per-call
+        # ``"threshold"`` scratch value; nothing reads it.
         self._eligible.restore(snap["eligible"], nodes.__getitem__)
         self._ineligible.restore(snap["ineligible"], nodes.__getitem__)
-        self._threshold = snap["threshold"]
 
 
 class WFQNodePolicy(NodePolicy):
@@ -578,12 +552,7 @@ class HPFQScheduler(PacketScheduler):
         for node_obj in self._nodes.values():
             if not node_obj.is_leaf:
                 chosen = overrides.pop(node_obj.name, policy)
-                pol = self._resolve_policy(chosen)(node_obj)
-                # Exact type check on purpose: a subclass with overridden
-                # select/on_select must not be silently bypassed by the
-                # fused kernel.
-                pol.fast = type(pol) is WF2QPlusNodePolicy
-                node_obj.policy = pol
+                node_obj.policy = self._resolve_policy(chosen)(node_obj)
         if overrides:
             raise HierarchyError(
                 f"policy overrides for unknown interior nodes: {sorted(overrides)}"
@@ -758,33 +727,30 @@ class HPFQScheduler(PacketScheduler):
             start = parent.virtual
         leaf.start_tag = start
         leaf.finish_tag = start + packet.length * leaf.inv_rate
-        if self._obs is None and not parent.busy and parent.policy.fast:
-            # Defer the head-set into the parent's fused re-selection.
-            self._restart_path(path, 1, leaf)
-            return
-        parent.policy.child_head_set(leaf)
+        if parent.busy:
+            parent.policy.child_head_set(leaf)
         if self._obs is not None:
             self._emit_head(leaf)
         if not parent.busy:
-            self._restart_path(path, 1, None)
+            # Defer the head-set into the parent's re-selection.
+            self._restart_path(path, 1, leaf)
 
     # ------------------------------------------------------------------
     # RESTART-NODE
     # ------------------------------------------------------------------
     def _restart(self, node):
-        """RESTART-NODE at ``node`` (cold-path wrapper over the kernel)."""
+        """RESTART-NODE at ``node`` (cold-path wrapper over the path walk)."""
         self._restart_path(node.path, 0, None)
 
     def _restart_path(self, path, index, rekeyed):
         """Iterative bottom-up RESTART along ``path[index:]``.
 
         ``rekeyed`` is a child of ``path[index]`` whose head/tags were just
-        refreshed but not yet pushed into its parent's policy heaps: at
-        fused (WF2Q+, unobserved) nodes the push rides along inside
-        :meth:`WF2QPlusNodePolicy.reselect`, saving a separate classify +
-        promote round trip per level.  With an observability sink attached
-        every node takes the generic select/on_select path, so the emitted
-        event stream is identical to the reference implementation.
+        refreshed but not yet handed to the node's policy: the push rides
+        along inside :meth:`NodePolicy.reselect`, which at WF2Q+ nodes
+        saves a separate classify + promote round trip per level.  The
+        same path runs whether or not an observability sink is attached;
+        the sink only adds events.
         """
         obs = self._obs
         epoch = self._tree_epoch
@@ -803,13 +769,7 @@ class HPFQScheduler(PacketScheduler):
                 parent.virtual = 0
                 parent.epoch = epoch
             pol = node.policy
-            if obs is None and pol.fast:
-                child, threshold = pol.reselect(rekeyed)
-            else:
-                if rekeyed is not None:
-                    pol.child_head_set(rekeyed)
-                child = pol.select()
-                threshold = None
+            child, threshold = pol.reselect(rekeyed)
             rekeyed = None
             if child is not None:
                 node.active_child = child
@@ -827,8 +787,8 @@ class HPFQScheduler(PacketScheduler):
                     node.finish_tag = start + dt
                 node.busy = True
                 if threshold is not None:
-                    # Fused on_select: V_n <- max(V_n, Smin_n) + L/r_n,
-                    # with max(V, Smin) already computed as the threshold.
+                    # V_n <- max(V_n, Smin_n) + L/r_n, with max(V, Smin)
+                    # already computed as the threshold.
                     node.virtual = threshold + dt
                     node.reference += dt
                 else:
@@ -842,10 +802,7 @@ class HPFQScheduler(PacketScheduler):
                 if parent.head is not None:
                     parent.policy.child_head_set(node)
                     return
-                if obs is None and parent.policy.fast:
-                    rekeyed = node  # defer into the parent's reselect
-                else:
-                    parent.policy.child_head_set(node)
+                rekeyed = node  # defer into the parent's reselect
             else:
                 node.active_child = None
                 node.busy = False
@@ -875,18 +832,14 @@ class HPFQScheduler(PacketScheduler):
         queue = leaf.flow_state.queue
         parent = path[1]
         rekeyed = None
-        obs = self._obs
         if queue:
             head = queue[0]
             leaf.head = head
             leaf.start_tag = leaf.finish_tag
             leaf.finish_tag = leaf.start_tag + head.length * leaf.inv_rate
-            if obs is None and parent.policy.fast:
-                rekeyed = leaf
-            else:
-                parent.policy.child_head_set(leaf)
-                if obs is not None:
-                    self._emit_head(leaf)
+            rekeyed = leaf  # defer into the parent's reselect
+            if self._obs is not None:
+                self._emit_head(leaf)
         else:
             parent.policy.child_head_cleared(leaf)
         self._restart_path(path, 1, rekeyed)
@@ -964,168 +917,6 @@ class HPFQScheduler(PacketScheduler):
         # tree still references the in-flight packet until then, which is
         # exactly the paper's model of a packet in transmission.
         pass
-
-    # ------------------------------------------------------------------
-    # Batch operations (amortized chunk kernels)
-    # ------------------------------------------------------------------
-    def enqueue_batch(self, packets, now=None):
-        if (type(self) is not HPFQScheduler or self._obs is not None
-                or self._buffer_limits or self._shared_limit is not None
-                or not kernel_sized(packets)):
-            return PacketScheduler.enqueue_batch(self, packets, now)
-        # A packet arriving at a leaf whose logical head is committed
-        # needs only the FIFO append (ARRIVE early-returns); everything
-        # else — a new head, the pending RESET-PATH, odd lengths/times —
-        # flushes the hoisted counters and takes the exact per-packet
-        # path.  At most one RESET-PATH can trigger per batch (no
-        # dequeues happen in between), so the in-flight test degenerates
-        # to a None check after the first packet.
-        flows = self._flows
-        nodes = self._nodes
-        backlogged = self._backlogged
-        clock = self._clock
-        backlog = self._backlog_packets
-        backlog_bits = self._backlog_bits
-        arrivals = enqueues = 0
-        accepted = 0
-        enqueue = self.enqueue
-        for packet in packets:
-            t = packet.arrival_time if now is None else now
-            if t is None:
-                t = clock
-            if self._in_flight is not None and t >= self._free_at:
-                # RESET-PATH's drained branch reads _backlog_packets.
-                self._backlog_packets = backlog
-                self._complete_transmission()
-            state = flows.get(packet.flow_id)
-            length = packet.length
-            if (state is None or t < clock
-                    or nodes[packet.flow_id].head is None
-                    or (length <= 0 if type(length) is int
-                        else type(length) is not float
-                        or not 0.0 < length < _INF)):
-                self._clock = clock
-                self._arrivals += arrivals
-                self._enqueues += enqueues
-                self._backlog_packets = backlog
-                self._backlog_bits = backlog_bits
-                arrivals = enqueues = 0
-                if enqueue(packet, t):
-                    accepted += 1
-                clock = self._clock
-                backlog = self._backlog_packets
-                backlog_bits = self._backlog_bits
-                continue
-            if packet.arrival_time is None:
-                packet.arrival_time = t
-            clock = t
-            arrivals += 1
-            queue = state.queue
-            if not queue:
-                # The leaf's last packet is still in flight (RESET-PATH is
-                # lazy), so its committed head masks an empty FIFO; the
-                # flow re-enters the backlogged index here.
-                backlogged[packet.flow_id] = True
-            queue.append(packet)
-            state.bits_queued += length
-            backlog += 1
-            backlog_bits += length
-            enqueues += 1
-            accepted += 1
-        self._clock = clock
-        self._arrivals += arrivals
-        self._enqueues += enqueues
-        self._backlog_packets = backlog
-        self._backlog_bits = backlog_bits
-        self._count_batch(accepted)
-        return accepted
-
-    def dequeue_batch(self, n, now=None):
-        if (type(self) is HPFQScheduler and self._obs is None
-                and n >= BATCH_KERNEL_MIN):
-            return self._dequeue_chunk(n, None, now, [])
-        return PacketScheduler.dequeue_batch(self, n, now)
-
-    def drain_until(self, limit, now=None, into=None):
-        if type(self) is HPFQScheduler and self._obs is None:
-            return self._dequeue_chunk(
-                None, limit, now, [] if into is None else into)
-        return PacketScheduler.drain_until(self, limit, now, into)
-
-    def _dequeue_chunk(self, n, limit, now, records):
-        """Amortized dequeue: base bookkeeping and the select/record/
-        reference accrual inlined; the tree walks themselves stay in the
-        iterative RESET-PATH / RESTART kernels.  Shared contract as
-        :meth:`repro.core.wf2qplus.WF2QPlusScheduler._dequeue_chunk`.
-        """
-        backlog = self._backlog_packets
-        if backlog == 0 or (n is not None and n <= 0):
-            self._count_batch(0)
-            return records
-        clock = self._clock
-        if now is None:
-            now = clock if clock > self._free_at else self._free_at
-        elif now < clock:
-            raise ValueError(
-                f"dequeue time {now!r} precedes scheduler clock {clock!r}"
-            )
-        if n is None:
-            n = backlog
-        flows = self._flows
-        nodes = self._nodes
-        backlogged = self._backlogged
-        rate = self._rate
-        root = self._root
-        complete = self._complete_transmission
-        backlog_bits = self._backlog_bits
-        append = records.append
-        count = 0
-        try:
-            while count < n and backlog:
-                if self._in_flight is not None:
-                    # RESET-PATH's drained branch reads _backlog_packets.
-                    self._backlog_packets = backlog
-                    complete()
-                head = root.head
-                if head is None:  # pragma: no cover - safety net
-                    raise HierarchyError(
-                        "H-PFQ invariant violated: backlog exists but no "
-                        "selection"
-                    )
-                flow_id = head.flow_id
-                state = flows[flow_id]
-                queue = state.queue
-                packet = queue.popleft()
-                if packet is not head:  # pragma: no cover - safety net
-                    raise HierarchyError(
-                        "H-PFQ invariant violated: dequeued packet is not "
-                        "the root head"
-                    )
-                length = packet.length
-                state.bits_queued -= length
-                backlog -= 1
-                backlog_bits -= length
-                if not queue:
-                    del backlogged[flow_id]
-                finish = now + length / rate
-                leaf = nodes[flow_id]
-                append(ScheduledPacket(packet, now, finish,
-                                       leaf.start_tag, leaf.finish_tag))
-                leaf.reference += length / leaf.rate
-                self._in_flight = packet
-                count += 1
-                clock = now
-                now = finish
-                if limit is not None and finish >= limit:
-                    break
-        finally:
-            self._clock = clock
-            self._free_at = now if count else self._free_at
-            self._backlog_packets = backlog
-            self._backlog_bits = backlog_bits
-            self._dequeues += count
-            self._count_batch(count)
-        return records
 
     def sync(self, now=None):
         """Run a pending RESET-PATH whose transmission has completed.
@@ -1253,9 +1044,7 @@ class HPFQScheduler(PacketScheduler):
                 config = self.add_flow(node_obj.name, node_obj.share)
                 node_obj.flow_state = self._flows[config.flow_id]
             else:
-                pol = factory(node_obj)
-                pol.fast = type(pol) is WF2QPlusNodePolicy
-                node_obj.policy = pol
+                node_obj.policy = factory(node_obj)
             stack.extend(node_obj.children)
         self._flatten()
         self._rebase_subtree(parent)

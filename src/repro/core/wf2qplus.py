@@ -45,12 +45,7 @@ DESIGN.md "Hot-path architecture" and ``tests/test_equivalence_optimized``):
   pairs.
 """
 
-from repro.core.scheduler import (
-    BATCH_KERNEL_MIN,
-    PacketScheduler,
-    ScheduledPacket,
-    kernel_sized,
-)
+from repro.core.scheduler import PacketScheduler, ScheduledPacket
 from repro.dstruct.heap import IndexedHeap
 from repro.obs.events import VirtualTimeUpdate
 
@@ -232,142 +227,6 @@ class WF2QPlusScheduler(PacketScheduler):
     def _on_system_empty(self, now):
         # Busy period over; the reset happens lazily on the next enqueue.
         pass
-
-    # ------------------------------------------------------------------
-    # Batch operations (amortized chunk kernels)
-    # ------------------------------------------------------------------
-    def enqueue_batch(self, packets, now=None):
-        # The passive kernel's contract holds because _on_enqueue does
-        # nothing for a packet joining a non-empty queue; the method-
-        # identity check keeps a subclass overriding _on_enqueue honest
-        # while letting the ablation variants (which only change
-        # selection) inherit the fast path.
-        if (self._obs is None and not self._buffer_limits
-                and self._shared_limit is None
-                and type(self)._on_enqueue is WF2QPlusScheduler._on_enqueue
-                and kernel_sized(packets)):
-            return self._enqueue_batch_passive(packets, now)
-        return PacketScheduler.enqueue_batch(self, packets, now)
-
-    def dequeue_batch(self, n, now=None):
-        if (type(self) is WF2QPlusScheduler and self._obs is None
-                and n >= BATCH_KERNEL_MIN):
-            return self._dequeue_chunk(n, None, now, [])
-        return PacketScheduler.dequeue_batch(self, n, now)
-
-    def drain_until(self, limit, now=None, into=None):
-        if type(self) is WF2QPlusScheduler and self._obs is None:
-            return self._dequeue_chunk(
-                None, limit, now, [] if into is None else into)
-        return PacketScheduler.drain_until(self, limit, now, into)
-
-    def _dequeue_chunk(self, n, limit, now, records):
-        """Amortized dequeue loop: hoisted heaps/counters, inline eq. (27)
-        advance and single-sift re-keying, zero per-packet dispatch.
-
-        Packet-for-packet identical to repeated :meth:`dequeue` calls (the
-        arithmetic is the same expression sequence on the same operands —
-        exact under ``Fraction``); callers gate on exact type and no
-        observer, so no hook or event site is bypassed.  ``n=None`` means
-        unbounded; ``limit`` follows :meth:`PacketScheduler.drain_until`
-        (the crossing packet is included).  Appends into ``records`` as it
-        goes so partially drained work survives an exception.
-        """
-        backlog = self._backlog_packets
-        if backlog == 0 or (n is not None and n <= 0):
-            self._count_batch(0)
-            return records
-        clock = self._clock
-        if now is None:
-            now = clock if clock > self._free_at else self._free_at
-        elif now < clock:
-            raise ValueError(
-                f"dequeue time {now!r} precedes scheduler clock {clock!r}"
-            )
-        if n is None:
-            n = backlog
-        flows = self._flows
-        backlogged = self._backlogged
-        rate = self._rate
-        total_share = self._total_share
-        gen = self._share_gen
-        eligible = self._eligible
-        ineligible = self._ineligible
-        starts = self._starts
-        eent = eligible.entries
-        ient = ineligible.entries
-        sent = starts.entries
-        replace_top = eligible.replace_top
-        demote = eligible.move_top_to
-        promote = ineligible.move_top_to
-        starts_update = starts.update
-        virtual = self._virtual
-        stamp = self._virtual_stamp
-        backlog_bits = self._backlog_bits
-        append = records.append
-        count = 0
-        start_tag = finish_tag = None
-        try:
-            while count < n and backlog:
-                # eq. (27): V = max(V + tau, min S_i), floored at selection.
-                v = virtual + (now - stamp)
-                if sent and sent[0][0] > v:
-                    v = sent[0][0]
-                virtual = v
-                stamp = now
-                while ient and ient[0][0][0] <= v:
-                    st = flows[ient[0][2]]
-                    promote(eligible, (st.finish_tag, st.index))
-                flow_id = eent[0][2]
-                state = flows[flow_id]
-                queue = state.queue
-                packet = queue.popleft()
-                length = packet.length
-                state.bits_queued -= length
-                backlog -= 1
-                backlog_bits -= length
-                finish = now + length / rate
-                start_tag = state.start_tag
-                finish_tag = state.finish_tag
-                append(ScheduledPacket(packet, now, finish,
-                                       start_tag, finish_tag))
-                if queue:
-                    start = finish_tag  # eq. (28), Q != 0
-                    state.start_tag = start
-                    if state.rate_gen != gen:
-                        state.inv_rate = 1 / (
-                            state.config.share / total_share * rate
-                        )
-                        state.rate_gen = gen
-                    fin = start + queue[0].length * state.inv_rate
-                    state.finish_tag = fin
-                    starts_update(flow_id, start)
-                    if start <= virtual:
-                        replace_top(flow_id, (fin, state.index))
-                    else:
-                        demote(ineligible, (start, state.index))
-                else:
-                    eligible.pop()
-                    starts.remove(flow_id)
-                    del backlogged[flow_id]
-                count += 1
-                clock = now
-                now = finish
-                if limit is not None and finish >= limit:
-                    break
-        finally:
-            self._clock = clock
-            self._free_at = now if count else self._free_at
-            self._virtual = virtual
-            self._virtual_stamp = stamp
-            self._backlog_packets = backlog
-            self._backlog_bits = backlog_bits
-            self._dequeues += count
-            if count:
-                self._last_virtual_start = start_tag
-                self._last_virtual_finish = finish_tag
-            self._count_batch(count)
-        return records
 
     # ------------------------------------------------------------------
     # Robustness hooks (reconfiguration / eviction / checkpoint)

@@ -102,8 +102,8 @@ class SchedulerProfiler:
                 deq_samples.append(clock() - t0)
 
         # The batch wrappers record whole-chunk wall time plus the chunk
-        # size; note a batch API that falls back to the per-packet loop
-        # also feeds the per-packet wrappers above, so batch and
+        # size.  Every batch API is a loop over enqueue/dequeue, so each
+        # chunk also feeds the per-packet wrappers above: batch and
         # per-packet samples overlap rather than add.
         def enqueue_batch(packets, now=None):
             t0 = clock()

@@ -174,13 +174,12 @@ class Link:
         """A chunk of packets arrives at the queueing point *now*.
 
         Semantically identical to calling :meth:`send` per packet, but the
-        chunk is handed to the scheduler's amortized
-        :meth:`~repro.core.scheduler.PacketScheduler.enqueue_batch` and
-        the arrival trace is appended in bulk.  Falls back to the
-        per-packet loop whenever a packet could be rejected (buffer caps,
-        a drop callback): batching only pays when every packet is
-        accepted, and the drop bookkeeping is per-packet by nature.
-        Returns the number of packets accepted.
+        chunk is handed to the scheduler's
+        :meth:`~repro.core.scheduler.PacketScheduler.enqueue_batch` in one
+        call and the arrival trace is appended in bulk.  Falls back to the
+        per-packet :meth:`send` loop whenever a packet could be rejected
+        (buffer caps, a drop callback): the drop bookkeeping is per-packet
+        by nature.  Returns the number of packets accepted.
         """
         scheduler = self.scheduler
         if self.drop_callback is not None or not scheduler.lossless:
@@ -257,9 +256,8 @@ class Link:
 
         With no observer — or only *passive* sinks (see
         :class:`~repro.obs.sinks.Sink`) — the whole burst is handed to
-        the scheduler's amortized
-        :meth:`~repro.core.scheduler.PacketScheduler.drain_until` and the
-        clock is advanced once over the chunk.  A non-passive sink is
+        one :meth:`~repro.core.scheduler.PacketScheduler.drain_until`
+        call and the clock is advanced once over the chunk.  A non-passive sink is
         arbitrary user code that may touch the simulator mid-burst, so it
         keeps the packet-at-a-time loop with a validated
         :meth:`~repro.sim.engine.Simulator.advance_to` per packet.

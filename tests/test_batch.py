@@ -1,4 +1,4 @@
-"""Differential suite for the batch scheduling core.
+"""Differential suite for the batch scheduling APIs.
 
 Three equivalence claims are pinned here:
 
@@ -7,11 +7,11 @@ Three equivalence claims are pinned here:
   equivalent per-packet call sequence produces: same service order, same
   times, same virtual tags (exact under ``Fraction``), same drop
   ledgers, and the same observer event stream when a bus is attached.
-* **the kernel guards are re-read on every call** — an observer or a
-  buffer cap set *between* batch calls takes the WF2Q+ / H-WF2Q+ batch
-  kernels off the very next call (every later packet is published and
-  every cap enforced), removing it puts them back, and the schedule is
-  the one an unobserved run serves.
+* **mid-run changes apply to the very next call** — an observer or a
+  buffer cap set *between* batch calls on WF2Q+ / H-WF2Q+ sees every
+  later packet and enforces every cap, the batch counters cover every
+  packet a call moved (even one cut short by a raising sink), and the
+  schedule is the one an unobserved run serves.
 * **the sim layer batch path is invisible** — ``Link.send_batch`` and
   the batch burst drain yield the same services and counters as the
   per-packet stepping path (forced via a non-passive sink).
@@ -31,8 +31,8 @@ from repro.core import (
     WF2QPlusScheduler,
 )
 from repro.core.packet import Packet
-from repro.core.scheduler import BATCH_KERNEL_MIN
 from repro.obs import CallbackSink, MetricsSink, RingBufferSink
+from repro.obs.sinks import Sink
 from repro.sim.engine import Simulator
 from repro.sim.link import Link
 from repro.sim.monitor import ServiceTrace
@@ -68,9 +68,8 @@ BUILDERS = [
     ("H-WF2Q+", tree, True),
 ]
 
-#: (name, builder) of the schedulers with their own batch kernels, whose
-#: guard (no observer, no buffer caps) is re-read on every batch call.
-KERNELS = [
+#: (name, builder) of the two SEFF schedulers the mid-run tests drive.
+SEFF = [
     ("WF2Q+", lambda: flat(WF2QPlusScheduler, 1e6, flows=3)),
     ("H-WF2Q+", lambda: tree(1e6)),
 ]
@@ -89,8 +88,7 @@ def make_ops(rng, flows=6, steps=60):
     for _ in range(steps):
         r = rng.random()
         if r < 0.5:
-            k = rng.choice((1, 2, 3, BATCH_KERNEL_MIN - 1,
-                            BATCH_KERNEL_MIN, 12, 20, 40))
+            k = rng.choice((1, 2, 3, 7, 8, 12, 20, 40))
             pkts = [(str(rng.randrange(flows)), rng.choice(LENGTHS))
                     for _ in range(k)]
             # Mostly same-instant bursts inside the busy period; the
@@ -98,8 +96,7 @@ def make_ops(rng, flows=6, steps=60):
             gap = rng.choice((0, 0, 0, 0, (1, 1000), (3, 100)))
             ops.append(("enq", gap, pkts))
         elif r < 0.85:
-            ops.append(("deq", rng.choice((1, 2, 5, BATCH_KERNEL_MIN,
-                                           16, 33))))
+            ops.append(("deq", rng.choice((1, 2, 5, 8, 16, 33))))
         else:
             ops.append(("drain", (rng.randrange(1, 50), 1000)))
     return ops
@@ -188,7 +185,7 @@ def test_batch_matches_per_packet(name, build, exact, seed):
 
 
 def test_tags_stay_fraction_exact():
-    """The batch kernels must not leak floats into a Fraction run.
+    """The batch APIs must not leak floats into a Fraction run.
 
     Fraction *shares* keep the guaranteed-rate division exact (int
     shares divide to float), so every tag must come out a Fraction.
@@ -233,7 +230,7 @@ def test_drain_until_crossing_semantics():
 
 def test_enqueue_batch_respects_buffer_limits():
     """Caps hold on the batch path, including caps set between batch
-    calls after the kernels have already run."""
+    calls after earlier batches have already run."""
     burst = [(str(i % 3), 1000) for i in range(21)]
 
     def run(build, mid_run, batched):
@@ -259,7 +256,7 @@ def test_enqueue_batch_respects_buffer_limits():
         return (accepted, sched.conservation(),
                 [rec_tuple(r) for r in records])
 
-    for name, build in KERNELS:
+    for name, build in SEFF:
         for mid_run in (False, True):
             ref = run(build, mid_run, batched=False)
             got = run(build, mid_run, batched=True)
@@ -272,7 +269,7 @@ def test_enqueue_batch_with_observer_same_event_stream():
     """An observer attached before the run or between batch calls sees
     one enqueue and one dequeue event for every later packet, exactly the
     per-packet event stream, and the schedule is the unobserved one."""
-    n = 4 * BATCH_KERNEL_MIN
+    n = 32
 
     def run(build, attach, drain, batched):
         sched = build()
@@ -301,7 +298,7 @@ def test_enqueue_batch_with_observer_same_event_stream():
                   for e in ring.events()]
         return events, [rec_tuple(r) for r in records]
 
-    for name, build in KERNELS:
+    for name, build in SEFF:
         _, unobserved = run(build, None, "dequeue_batch", batched=True)
         for attach in ("start", "mid-run"):
             observed = n * (2 if attach == "start" else 1)
@@ -316,35 +313,20 @@ def test_enqueue_batch_with_observer_same_event_stream():
                 assert records == unobserved, case
 
 
-class KernelProbe:
-    """Drives a kernel scheduler in batch rounds, counting the calls that
-    reach its per-packet ``enqueue``/``dequeue``.  The kernels bypass
-    both (and so the event bus and the cap bookkeeping), so the counts
-    show which path each batch call took."""
+class BatchRounds:
+    """Drives a scheduler in batch rounds: one same-instant burst of
+    ``N`` packets per round, then a drain."""
 
-    N = 4 * BATCH_KERNEL_MIN
+    N = 32
 
     def __init__(self, build):
-        self.sched = sched = build()
-        self.calls = {"enqueue": 0, "dequeue": 0}
+        self.sched = build()
         self.records = []
         self.t = 0.0
-        enqueue, dequeue = sched.enqueue, sched.dequeue
-
-        def counting_enqueue(packet, now=None):
-            self.calls["enqueue"] += 1
-            return enqueue(packet, now)
-
-        def counting_dequeue(now=None):
-            self.calls["dequeue"] += 1
-            return dequeue(now)
-
-        sched.enqueue, sched.dequeue = counting_enqueue, counting_dequeue
 
     def round(self, flows="012", drain="dequeue_batch"):
-        """One same-instant burst of ``N`` packets over ``flows`` and a
-        drain; returns the per-packet calls made and the packets accepted."""
-        self.calls.update(enqueue=0, dequeue=0)
+        """One burst over ``flows`` and a drain; returns the number of
+        packets the burst got accepted."""
         accepted = self.sched.enqueue_batch(
             [Packet(flows[i % len(flows)], 1000) for i in range(self.N)],
             now=self.t)
@@ -353,96 +335,141 @@ class KernelProbe:
         else:
             self.sched.drain_until(None, into=self.records)
         self.t = self.records[-1].finish_time + 0.001
-        return dict(self.calls, accepted=accepted)
-
-    def engaged_round(self, **kw):
-        calls = self.round(**kw)
-        assert calls["dequeue"] == 0
-        assert calls["enqueue"] < self.N
-        return calls
+        return accepted
 
 
 def kinds(sink):
     return [e.kind for e in sink.events()]
 
 
-kernels = pytest.mark.parametrize(
-    "name,build", KERNELS, ids=[k[0] for k in KERNELS])
-PER_PACKET = {"enqueue": KernelProbe.N, "dequeue": KernelProbe.N,
-              "accepted": KernelProbe.N}
+seff = pytest.mark.parametrize("name,build", SEFF, ids=[k[0] for k in SEFF])
 
 
-@kernels
+@seff
 def test_observer_forces_exact_path(name, build):
-    probe = KernelProbe(build)
+    """An observer attached before the first batch sees every packet:
+    the batch APIs run the per-packet path, events included."""
+    rounds = BatchRounds(build)
     ring = RingBufferSink()
-    probe.sched.attach_observer(ring)
-    assert probe.round() == PER_PACKET
-    assert probe.round() == PER_PACKET
-    assert kinds(ring).count("enqueue") == 2 * KernelProbe.N
-    assert kinds(ring).count("dequeue") == 2 * KernelProbe.N
+    rounds.sched.attach_observer(ring)
+    assert rounds.round() == BatchRounds.N
+    assert rounds.round(drain="drain_until") == BatchRounds.N
+    assert kinds(ring).count("enqueue") == 2 * BatchRounds.N
+    assert kinds(ring).count("dequeue") == 2 * BatchRounds.N
 
 
-@kernels
+@seff
 def test_observer_attached_mid_run_disengages_next_batch(name, build):
-    """Events for the post-attach burst exist only if the guard took the
-    kernels off: the observer sees every later packet."""
-    probe = KernelProbe(build)
-    probe.engaged_round()
+    """An observer attached between batch calls sees every later packet."""
+    rounds = BatchRounds(build)
+    rounds.round()
     ring = RingBufferSink()
-    probe.sched.attach_observer(ring)  # mid-run, between batch calls
-    assert probe.round() == PER_PACKET
-    assert kinds(ring).count("enqueue") == KernelProbe.N
-    assert kinds(ring).count("dequeue") == KernelProbe.N
+    rounds.sched.attach_observer(ring)  # mid-run, between batch calls
+    assert rounds.round() == BatchRounds.N
+    assert kinds(ring).count("enqueue") == BatchRounds.N
+    assert kinds(ring).count("dequeue") == BatchRounds.N
 
 
-@kernels
+@seff
 def test_detaching_observer_reengages(name, build):
-    probe = KernelProbe(build)
-    engaged = probe.engaged_round()
-    sink = MetricsSink()
-    probe.sched.attach_observer(sink)
-    assert probe.round() == PER_PACKET
-    probe.sched.detach_observer(sink)
-    assert probe.round() == engaged
-
-
-@kernels
-def test_drain_until_also_guarded(name, build):
-    probe = KernelProbe(build)
-    probe.engaged_round(drain="drain_until")
-    ring = RingBufferSink()
-    probe.sched.attach_observer(ring)
-    assert probe.round(drain="drain_until") == PER_PACKET
-    assert kinds(ring).count("dequeue") == KernelProbe.N
-
-
-@kernels
-def test_buffer_limit_set_mid_run_enforced_on_next_batch(name, build):
-    probe = KernelProbe(build)
-    engaged = probe.engaged_round()
-    probe.sched.set_buffer_limit("0", 3)
-    calls = probe.round(flows="0")
-    assert calls["enqueue"] == KernelProbe.N
-    assert calls["accepted"] == 3  # the cap is enforced, not bypassed
-    assert probe.sched.drops("0") == KernelProbe.N - 3
-    # Clearing the cap re-engages from the next call onward.
-    probe.sched.set_buffer_limit("0", None)
-    assert probe.round() == engaged
-
-
-@kernels
-def test_schedule_identical_across_mid_run_attach(name, build):
-    """Disengaging mid-run does not perturb service."""
+    """A detached observer sees nothing of later batches, and the
+    schedule across attach and detach is the unobserved one."""
     def run(observe):
-        probe = KernelProbe(build)
-        probe.engaged_round()
+        rounds = BatchRounds(build)
+        rounds.round()
+        ring = RingBufferSink()
         if observe:
-            probe.sched.attach_observer(MetricsSink())
-        probe.round()
-        return [rec_tuple(r) for r in probe.records]
+            rounds.sched.attach_observer(ring)
+        rounds.round()
+        if observe:
+            rounds.sched.detach_observer(ring)
+        rounds.round(drain="drain_until")
+        return kinds(ring), [rec_tuple(r) for r in rounds.records]
+
+    events, observed = run(observe=True)
+    assert events.count("dequeue") == BatchRounds.N
+    assert events.count("enqueue") == BatchRounds.N
+    assert observed == run(observe=False)[1]
+
+
+@seff
+def test_drain_until_also_guarded(name, build):
+    """``drain_until`` publishes every packet of a mid-run attach too."""
+    rounds = BatchRounds(build)
+    rounds.round(drain="drain_until")
+    ring = RingBufferSink()
+    rounds.sched.attach_observer(ring)
+    assert rounds.round(drain="drain_until") == BatchRounds.N
+    assert kinds(ring).count("dequeue") == BatchRounds.N
+
+
+@seff
+def test_buffer_limit_set_mid_run_enforced_on_next_batch(name, build):
+    rounds = BatchRounds(build)
+    rounds.round()
+    rounds.sched.set_buffer_limit("0", 3)
+    assert rounds.round(flows="0") == 3  # the cap is enforced, not bypassed
+    assert rounds.sched.drops("0") == BatchRounds.N - 3
+    # Clearing the cap admits the whole next burst again.
+    rounds.sched.set_buffer_limit("0", None)
+    assert rounds.round(flows="0") == BatchRounds.N
+
+
+@seff
+def test_schedule_identical_across_mid_run_attach(name, build):
+    """Attaching an observer mid-run does not perturb service."""
+    def run(observe):
+        rounds = BatchRounds(build)
+        rounds.round()
+        if observe:
+            rounds.sched.attach_observer(MetricsSink())
+        rounds.round()
+        return [rec_tuple(r) for r in rounds.records]
 
     assert run(observe=True) == run(observe=False)
+
+
+class RaiseOnDequeue(Sink):
+    """A passive sink that raises on the ``k``-th dequeue event, the way
+    a passive :class:`~repro.obs.InvariantChecker` raises on a violation
+    inside a burst drain."""
+
+    passive = True
+
+    def __init__(self, k):
+        self.k = k
+        self.seen = 0
+
+    def accept(self, event):
+        if event.kind == "dequeue":
+            self.seen += 1
+            if self.seen == self.k:
+                raise RuntimeError("sink abort")
+
+
+@pytest.mark.parametrize("name,build,exact",
+                         BUILDERS, ids=[b[0] for b in BUILDERS])
+def test_batch_counters_cover_a_drain_cut_short(name, build, exact):
+    """A dequeue that raises mid-chunk still leaves ``batch_packets``
+    equal to the records the call already handed back."""
+    sched = build(1e6)
+    sched.enqueue_batch([Packet(str(i % 6), 1000) for i in range(24)],
+                        now=0.0)
+    before = sched.batch_stats()["batch_packets"]
+    sched.attach_observer(RaiseOnDequeue(k=5))
+    into = []
+    with pytest.raises(RuntimeError, match="sink abort"):
+        sched.drain_until(None, into=into)
+    assert len(into) == 4  # the 5th record never reached the caller
+    stats = sched.batch_stats()
+    assert stats["batch_packets"] - before == len(into)
+    # dequeue_batch counts the packets it moved before the raise too.
+    sched.detach_observer()
+    sched.attach_observer(RaiseOnDequeue(k=3))
+    with pytest.raises(RuntimeError, match="sink abort"):
+        sched.dequeue_batch(10)
+    assert sched.batch_stats()["batch_packets"] - before == len(into) + 2
+    assert sched.batch_stats()["batch_calls"] == stats["batch_calls"] + 1
 
 
 def test_batch_stats_counters():
@@ -458,31 +485,6 @@ def test_batch_stats_counters():
     hist = stats["packets_per_batch"]
     assert sum(hist.values()) == stats["batch_calls"]
     assert hist["1"] == 1 and hist["64-511"] == 1 and hist["8-63"] == 1
-
-
-def test_overridden_on_enqueue_disables_enqueue_kernel():
-    hook_calls = []
-
-    class Hooked(WF2QPlusScheduler):
-        def _on_enqueue(self, state, packet, now, was_flow_empty, was_idle):
-            hook_calls.append(packet.flow_id)
-            super()._on_enqueue(state, packet, now, was_flow_empty, was_idle)
-
-    sched = flat(Hooked, 1e6, flows=2)
-    n = 2 * BATCH_KERNEL_MIN
-    sched.enqueue_batch([Packet(str(i % 2), 1000) for i in range(n)],
-                        now=0.0)
-    assert len(hook_calls) == n  # every packet went through the hook
-
-
-def test_small_chunks_use_per_packet_path():
-    """Below BATCH_KERNEL_MIN the batch APIs are the per-packet loop —
-    same results (pinned above), and the counters still tick."""
-    sched = flat(WF2QPlusScheduler, 1e6)
-    sched.enqueue_batch([Packet("0", 1000)], now=0.0)
-    assert sched.batch_stats()["batch_calls"] == 1
-    assert len(sched.dequeue_batch(1)) == 1
-    assert sched.batch_stats()["batch_calls"] == 2
 
 
 # ----------------------------------------------------------------------

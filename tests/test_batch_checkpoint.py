@@ -1,9 +1,8 @@
 """Batch APIs x checkpoint/restore: the interplay must stay exact.
 
-The batched enqueue/dequeue kernels hoist heaps and counters out of the
-authoritative ``FlowState`` objects, and the Link's burst-drain path
-services whole chunks between simulator events.  None of that may leak
-into checkpoints: a snapshot taken mid-way through a batched workload
+The batch APIs move whole chunks per call, and the Link's burst-drain
+path services whole chunks between simulator events.  None of that may
+leak into checkpoints: a snapshot taken mid-way through a batched workload
 must restore to packet-for-packet identical continuations — Fraction
 tags, conservation ledgers, source timetables, and fault timelines
 included.
@@ -84,7 +83,7 @@ def test_midbatch_snapshot_roundtrip_exact(name, build):
     sched = build()
     _, clock = batch_churn(sched, random.Random(21), steps=50)
     # Land the snapshot mid-batch: a large burst just arrived and only
-    # part of it has been served, so the kernels' heaps are mid-burst.
+    # part of it has been served, so the scheduler's heaps are mid-burst.
     sched.enqueue_batch([Packet(str(i % 6), 1000) for i in range(24)],
                         now=clock)
     served = sched.dequeue_batch(5)

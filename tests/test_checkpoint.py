@@ -118,6 +118,26 @@ def test_hpfq_depth3_restore_into_fresh_instance():
     assert drain_tuples(b) == drain_tuples(a)
 
 
+def test_hpfq_restores_snapshot_carrying_threshold():
+    """Snapshots written before the node policy lost its two-step
+    select/on_select pair carry a ``"threshold"`` scratch value per WF2Q+
+    node.  The current writer omits it; restore accepts it, ignores it,
+    and continues exactly like a snapshot without it."""
+    a = build_depth3()
+    churn(a, random.Random(9), flows=4, steps=100)
+    snap = a.snapshot()
+    policies = [ns["policy"] for ns in snap["extra"]["nodes"].values()
+                if ns["policy"] is not None]
+    assert len(policies) == 6
+    assert all("threshold" not in pol for pol in policies)
+    for name, ns in snap["extra"]["nodes"].items():
+        if ns["policy"] is not None:
+            ns["policy"]["threshold"] = ns["virtual"]
+    b = build_depth3()
+    b.restore(snap)
+    assert drain_tuples(b) == drain_tuples(a)
+
+
 @pytest.mark.parametrize("policy", ["wfq", "scfq", "sfq"])
 def test_hpfq_other_policies_roundtrip(policy):
     sched = build_depth3(policy=policy)
